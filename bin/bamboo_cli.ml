@@ -20,25 +20,31 @@
 
    A file argument of the form bench:<Name> (e.g. bench:KMeans) loads a
    built-in benchmark instead of reading a file; bench:<Name>:seq loads
-   its sequential version. *)
+   its sequential version.
+
+   Bad input ends in one line on stderr and exit 1: frontend errors as
+   path:line:col, and a missing file, an unknown benchmark or a program
+   failing at run time as "bamboo: <kind>: <message>". *)
 
 open Cmdliner
 
+(* The ':'-separated parts after a "bench:" prefix, if any. *)
+let bench_ref path =
+  if String.starts_with ~prefix:"bench:" path then
+    Some (String.split_on_char ':' (String.sub path 6 (String.length path - 6)))
+  else None
+
 let read_source path =
-  if String.length path > 6 && String.sub path 0 6 = "bench:" then begin
-    let rest = String.sub path 6 (String.length path - 6) in
-    match String.split_on_char ':' rest with
-    | [ name ] -> (Bamboo_benchmarks.Registry.find name).b_source
-    | [ name; "seq" ] -> (Bamboo_benchmarks.Registry.find name).b_seq_source
-    | _ -> invalid_arg ("bad benchmark reference " ^ path)
-  end
-  else begin
-    let ic = open_in path in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    s
-  end
+  match bench_ref path with
+  | Some [ name ] -> (Bamboo_benchmarks.Registry.find name).b_source
+  | Some [ name; "seq" ] -> (Bamboo_benchmarks.Registry.find name).b_seq_source
+  | Some _ -> invalid_arg ("bad benchmark reference " ^ path)
+  | None ->
+      let ic = open_in path in
+      let n = in_channel_length ic in
+      let s = really_input_string ic n in
+      close_in ic;
+      s
 
 let load path =
   try Bamboo.compile (read_source path) with
@@ -48,6 +54,21 @@ let load path =
   | Bamboo_frontend.Typecheck.Error (pos, msg) ->
       Printf.eprintf "%s:%d:%d: type error: %s\n" path pos.line pos.col msg;
       exit 1
+
+(** [with_args_hint file args f] runs [f]; when a built-in benchmark
+    given no arguments fails at run time, the error names the arguments
+    the registry runs it with. *)
+let with_args_hint file args f =
+  try f () with
+  | Bamboo.Value.Runtime_error msg as e when args = [] -> (
+      match bench_ref file with
+      | Some (name :: _) ->
+          let b = Bamboo_benchmarks.Registry.find name in
+          raise
+            (Bamboo.Value.Runtime_error
+               (Printf.sprintf "%s (%s takes arguments, e.g. %s -- %s)" msg b.b_name file
+                  (String.concat " " b.b_args)))
+      | _ -> raise e)
 
 let file_arg =
   Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE" ~doc:"Bamboo source file or bench:<Name>")
@@ -331,6 +352,7 @@ let cmd_taskflow =
 
 let cmd_profile =
   let run file args engine interp_reference =
+    with_args_hint file args @@ fun () ->
     set_engine engine interp_reference;
     let prog = load file in
     let prof, r = Bamboo.Profile.collect ~args prog in
@@ -352,6 +374,7 @@ let synthesize file args cores seed jobs starts tempering sim_reference =
 
 let cmd_synth =
   let run file args cores seed jobs starts tempering sim_reference engine interp_reference =
+    with_args_hint file args @@ fun () ->
     set_engine engine interp_reference;
     let prog, _, (o : Bamboo.Dsa.outcome) =
       synthesize file args cores seed jobs starts tempering sim_reference
@@ -373,6 +396,7 @@ let cmd_synth =
 let cmd_run =
   let run file args cores seed jobs starts tempering sim_reference engine interp_reference
       digest =
+    with_args_hint file args @@ fun () ->
     set_engine engine interp_reference;
     let prog, an, o = synthesize file args cores seed jobs starts tempering sim_reference in
     let r = Bamboo.execute ~args prog an o.best in
@@ -399,6 +423,7 @@ let cmd_run =
 let cmd_exec =
   let run file args cores domains seed jobs starts tempering layout_kind sim_reference
       exec_reference engine interp_reference digest_only canon sanitize schedule =
+    with_args_hint file args @@ fun () ->
     if exec_reference then Bamboo.Exec.use_reference := true;
     set_engine engine interp_reference;
     let prog = load file in
@@ -536,6 +561,7 @@ let cmd_serve =
   let run file args cores domains seed jobs starts tempering layout_kind sim_reference
       engine interp_reference schedule rate duration arrivals admission queue inflight
       check classes =
+    with_args_hint file args @@ fun () ->
     set_engine engine interp_reference;
     let prog = load file in
     let an = Bamboo.analyse prog in
@@ -697,6 +723,7 @@ let cmd_serve =
 
 let cmd_trace =
   let run file args cores seed jobs starts tempering sim_reference =
+    with_args_hint file args @@ fun () ->
     let prog, _, o = synthesize file args cores seed jobs starts tempering sim_reference in
     let prof = Bamboo.profile ~args prog in
     let sim = Bamboo.Schedsim.simulate prog prof o.best in
@@ -722,8 +749,21 @@ let cmd_dump =
 let () =
   let doc = "data-centric, object-oriented many-core compiler (Bamboo, PLDI 2010)" in
   let info = Cmd.info "bamboo" ~version:"1.0.0" ~doc in
-  exit
-    (Cmd.eval
-       (Cmd.group info
-          [ cmd_check; cmd_analyze; cmd_astg; cmd_cstg; cmd_taskflow; cmd_profile; cmd_synth;
-            cmd_run; cmd_exec; cmd_serve; cmd_trace; cmd_dump ]))
+  let fail kind msg =
+    Printf.eprintf "bamboo: %s: %s\n" kind msg;
+    exit 1
+  in
+  match
+    Cmd.eval ~catch:false
+      (Cmd.group info
+         [ cmd_check; cmd_analyze; cmd_astg; cmd_cstg; cmd_taskflow; cmd_profile; cmd_synth;
+           cmd_run; cmd_exec; cmd_serve; cmd_trace; cmd_dump ])
+  with
+  | code -> exit code
+  | exception Bamboo.Value.Runtime_error msg -> fail "runtime error" msg
+  | exception Invalid_argument msg -> fail "invalid argument" msg
+  | exception Sys_error msg -> fail "system error" msg
+  | exception e ->
+      (* Anything else is a bug: report it as cmdliner would. *)
+      Printf.eprintf "bamboo: internal error, uncaught exception:\n%s\n" (Printexc.to_string e);
+      exit Cmd.Exit.internal_error

@@ -111,51 +111,35 @@ type opportunity =
   | Move_non_key of Ir.task_id * int
       (* non-key task on core c that delayed a key task *)
 
-(** Key events on the path: those whose output is consumed by the next
-    path event (data edge). *)
-let key_event_ids (cp : t) =
-  let rec go = function
-    | a :: ({ cp_via = `Data p; _ } :: _ as rest) when a.cp_event.Schedsim.ev_id = p ->
-        a.cp_event.Schedsim.ev_id :: go rest
-    | _ :: rest -> go rest
-    | [] -> []
-  in
-  go cp.path
-
 (** Extract optimization opportunities from a critical path, grouped
-    by data-dependence resolution time as in the paper. *)
+    by data-dependence resolution time as in the paper.  One pass over
+    adjacent steps: every step but the first is pinned by the one
+    before it, so a step is {e key} exactly when the next step is
+    [`Data]-pinned to it, and a [`Resource]-pinned step's blocker is
+    the (non-key) step before it. *)
 let opportunities (cp : t) : opportunity list =
-  let keys = key_event_ids cp in
-  let ops = ref [] in
-  let steps = Array.of_list cp.path in
-  Array.iteri
-    (fun i step ->
-      let e = step.cp_event in
-      (* Delayed instance: data ready strictly before the body start
-         (beyond fixed dispatch overhead). *)
-      (match step.cp_via with
-      | `Resource _ when e.ev_start > e.ev_ready ->
-          if List.mem e.ev_id keys then begin
-            (* A key task delayed by a resource: if the blocking event
-               is non-key, propose moving the blocker. *)
-            match step.cp_via with
-            | `Resource prev_id when not (List.mem prev_id keys) -> (
-                (* find blocker in path *)
-                let blocker =
-                  Array.to_list steps
-                  |> List.find_opt (fun s -> s.cp_event.Schedsim.ev_id = prev_id)
-                in
-                match blocker with
-                | Some b ->
-                    ops := Move_non_key (b.cp_event.ev_task, b.cp_event.ev_core) :: !ops
-                | None -> ())
-            | _ -> ()
-          end
-          else ops := Migrate_delayed (e.ev_task, e.ev_core) :: !ops
-      | _ -> ());
-      ignore i)
-    steps;
-  List.sort_uniq compare !ops
+  let rec go prev acc = function
+    | [] -> acc
+    | step :: rest ->
+        let e = step.cp_event in
+        let acc =
+          match step.cp_via with
+          | `Resource blocker when e.ev_start > e.ev_ready -> (
+              (* Delayed instance: data ready strictly before the body
+                 start (beyond fixed dispatch overhead). *)
+              match rest with
+              | { cp_via = `Data p; _ } :: _ when p = e.ev_id -> (
+                  (* A key task delayed by a resource: move the blocker. *)
+                  match prev with
+                  | Some (b : Schedsim.event) when b.ev_id = blocker ->
+                      Move_non_key (b.ev_task, b.ev_core) :: acc
+                  | _ -> acc)
+              | _ -> Migrate_delayed (e.ev_task, e.ev_core) :: acc)
+          | _ -> acc
+        in
+        go (Some e) acc rest
+  in
+  List.sort_uniq compare (go None [] cp.path)
 
 (** Render the trace + critical path in the style of Figure 6. *)
 let to_string (prog : Ir.program) (r : Schedsim.result) (cp : t) =

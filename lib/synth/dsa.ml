@@ -19,7 +19,9 @@
     layout one chain scored is a hit for every other — but share no
     randomness: each chain draws from its own PRNG stream split from
     the root seed on the calling domain, so the whole search is
-    bit-identical for any [jobs] count.
+    bit-identical for any [jobs] count.  Each scored layout's
+    critical-path {!Evaluator.direction} comes back from the same
+    fan-out, so planning a round analyses nothing on this domain.
 
     Two policies target searches that stall on a secondary attractor
     (ROADMAP item 3: Tracking):
@@ -44,7 +46,6 @@ module Machine = Bamboo_machine.Machine
 module Layout = Bamboo_machine.Layout
 module Profile = Bamboo_profile.Profile
 module Cstg = Bamboo_cstg.Cstg
-module Schedsim = Bamboo_sim.Schedsim
 module Critpath = Bamboo_sim.Critpath
 module Prng = Bamboo_support.Prng
 
@@ -97,8 +98,8 @@ type outcome = {
 
 (** Least-busy cores under a simulated execution — candidates for
     receiving migrated work ("spare cores"). *)
-let spare_cores (r : Schedsim.result) machine k =
-  let busy = Array.mapi (fun i b -> (b, i)) r.s_per_core_busy in
+let spare_cores (d : Evaluator.direction) machine k =
+  let busy = Array.mapi (fun i b -> (b, i)) d.d_per_core_busy in
   Array.sort compare busy;
   Array.to_list (Array.sub busy 0 (min k machine.Machine.cores)) |> List.map snd
 
@@ -150,10 +151,10 @@ let shake rng prog layout =
 let heavy_shake rng prog layout =
   shake rng prog (shake rng prog (shake rng prog layout))
 
-let neighbours cfg rng prog (r : Schedsim.result) layout (ops : Critpath.opportunity list) =
-  let ops = take cfg.max_ops_per_layout ops in
+let neighbours cfg rng prog (d : Evaluator.direction) layout =
+  let ops = take cfg.max_ops_per_layout d.d_opportunities in
   let machine = layout.Layout.machine in
-  let spares = spare_cores r machine (max 2 cfg.neighbours_per_op) in
+  let spares = spare_cores d machine (max 2 cfg.neighbours_per_op) in
   let per_op op =
     match op with
     | Critpath.Migrate_delayed (tid, core) ->
@@ -264,18 +265,15 @@ let plan_round cfg ~tempering ev prog ch (pool : (int * Layout.t) list) =
       sorted
   in
   let kept = take cfg.max_pool kept in
-  (* Directed neighbour generation.  The simulation of every kept
-     layout is a memo-cache hit — it was simulated when scored — so
-     the per-round critical-path pass costs no extra simulations. *)
+  (* Directed neighbour generation.  Every kept layout's direction is
+     a memo-cache hit, computed by the worker that scored it, so this
+     domain neither re-simulates nor analyses anything. *)
   let news =
     List.concat_map
       (fun (_, l) ->
         match Evaluator.result ev l with
         | None -> []   (* overrun or pruned: no complete trace to direct from *)
-        | Some r ->
-            let cp = Critpath.analyse r in
-            let ops = Critpath.opportunities cp in
-            neighbours cfg ch.ch_rng prog r l ops)
+        | Some d -> neighbours cfg ch.ch_rng prog d l)
       kept
   in
   (* Plateau: diversify around the pool's best layout so continued

@@ -3,8 +3,8 @@
 
     The synthesis loop is embarrassingly parallel: every candidate
     layout is scored by an independent simulation run (§4.4), and DSA
-    re-reads the simulation of each surviving layout every round for
-    its critical-path pass (§4.5).  An [Evaluator.t] makes both cheap:
+    steers each round by the critical path of every surviving layout's
+    simulation (§4.5).  An [Evaluator.t] makes both cheap:
 
     - {b Preparation}: the program and profile are compiled once into
       the simulator's dense tables ({!Schedsim.prepare}); every
@@ -13,10 +13,12 @@
       [Layout.canonical_key] in a {!Bamboo_support.Sharded_table} —
       key-hash-striped mutex shards, so worker domains insert each
       result the moment its simulation completes instead of handing it
-      back for a serial fill loop on the calling domain.  The cache
-      stores the {e full} [Schedsim.result] — not just the cycle count
-      — so the critical-path analysis of a kept layout reuses the
-      simulation that scored it instead of running it again.  The
+      back for a serial fill loop on the calling domain.  The worker
+      that completes a simulation also runs its critical-path pass
+      ({!Bamboo_sim.Critpath}), and the cache keeps only what DSA reads
+      — the {!direction}: total cycles, per-core busy cycles and the
+      opportunity list, never the trace — so directing a kept layout
+      costs the calling domain neither a simulation nor an analysis.  The
       [evaluated]/[cache_hits]/[pruned]/[sim_events] counters live
       per-shard and merge on read; each fresh key is simulated exactly
       once per batch, so the merged totals are independent of which
@@ -50,15 +52,25 @@ module Ir = Bamboo_ir.Ir
 module Profile = Bamboo_profile.Profile
 module Layout = Bamboo_machine.Layout
 module Schedsim = Bamboo_sim.Schedsim
+module Critpath = Bamboo_sim.Critpath
 module Pool = Bamboo_support.Pool
 module Sharded = Bamboo_support.Sharded_table
+
+(** What DSA reads of a complete simulation: its score, the per-core
+    busy cycles that pick spare cores, and the critical-path
+    opportunities that direct its neighbours. *)
+type direction = {
+  d_total_cycles : int;
+  d_per_core_busy : int array;
+  d_opportunities : Critpath.opportunity list;
+}
 
 (** What the cache knows about a layout.  [Overrun] (the simulator
     exceeded its invocation budget) and [Pruned] (the simulation was
     abandoned past a cycle bound) both score [max_int]; only [Full]
-    carries a trace the critical-path pass may consume. *)
+    came from a complete trace and carries a direction. *)
 type cached =
-  | Full of Schedsim.result
+  | Full of direction
   | Overrun
   | Pruned of int (* bounded at b: the true total strictly exceeds b *)
 
@@ -126,7 +138,11 @@ let simulate_uncached t cycle_bound layout : cached * int =
   with
   | r -> (
       match r.Schedsim.s_status with
-      | Schedsim.Complete -> (Full r, r.Schedsim.s_sim_events)
+      | Schedsim.Complete ->
+          ( Full
+              { d_total_cycles = r.s_total_cycles; d_per_core_busy = r.s_per_core_busy;
+                d_opportunities = Critpath.opportunities (Critpath.analyse r) },
+            r.s_sim_events )
       | Schedsim.Bounded b -> (Pruned b, r.Schedsim.s_sim_events))
   | exception Schedsim.Sim_overrun _ -> (Overrun, 0)
 
@@ -139,7 +155,7 @@ let usable bound = function
     layout overran or was pruned (it cannot beat any bound it was
     pruned against). *)
 let cycles_of = function
-  | Full (r : Schedsim.result) -> r.Schedsim.s_total_cycles
+  | Full d -> d.d_total_cycles
   | Overrun | Pruned _ -> max_int
 
 (* A group of requests sharing one canonical key: simulated (at most)
@@ -237,15 +253,15 @@ let batch_bounded t (reqs : (Layout.t * int option) list) : cached list =
 let batch ?cycle_bound t (layouts : Layout.t list) : cached list =
   batch_bounded t (List.map (fun l -> (l, cycle_bound)) layouts)
 
-(** [result t layout] — the full simulation of [layout] if one is
-    available: [None] when the layout overran, or when the cache only
-    holds a pruned (truncated) simulation.  Never re-simulates a
-    pruned layout: the callers that want traces (the critical-path
-    pass) only consume complete ones, and a layout pruned against an
-    incumbent is already known not to be worth the full price.  A miss
-    goes through {!Sharded_table.compute}, so racing callers of the
-    same layout simulate it exactly once. *)
-let result t layout : Schedsim.result option =
+(** [result t layout] — the direction of [layout] if a complete
+    simulation is available: [None] when the layout overran, or when
+    the cache only holds a pruned (truncated) simulation.  Never
+    re-simulates a pruned layout: a direction comes only from a
+    complete trace, and a layout pruned against an incumbent is
+    already known not to be worth the full price.  A miss goes through
+    {!Sharded_table.compute}, so racing callers of the same layout
+    simulate it exactly once. *)
+let result t layout : direction option =
   let key = Layout.canonical_key layout in
   let events = ref 0 in
   let c, computed =
@@ -260,7 +276,7 @@ let result t layout : Schedsim.result option =
   end
   else Sharded.bump t.cache key c_hits 1;
   match c with
-  | Full r -> Some r
+  | Full d -> Some d
   | Overrun -> None
   | Pruned _ ->
       assert (not computed) (* unbounded simulations never prune *);

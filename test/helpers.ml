@@ -88,3 +88,18 @@ let expect_typecheck_error src =
   | _ -> Alcotest.fail "expected a frontend error"
 
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
+
+(** A registry program compiled, analysed and profiled on its registry
+    arguments — once per test run, shared by the suites that simulate
+    or search at benchmark scale. *)
+let registry_profiled =
+  let memo = Hashtbl.create 8 in
+  fun (b : Bamboo_benchmarks.Bench_def.t) ->
+    match Hashtbl.find_opt memo b.b_name with
+    | Some p -> p
+    | None ->
+        let prog = compile b.b_source in
+        let an = Bamboo.analyse prog in
+        let prof, _ = Bamboo.Profile.collect ~args:b.b_args prog in
+        Hashtbl.replace memo b.b_name (prog, an, prof);
+        (prog, an, prof)

@@ -139,6 +139,55 @@ let test_critpath_opportunities () =
   let ops = Critpath.opportunities cp in
   Helpers.check_bool "some opportunity on a congested core" true (ops <> [])
 
+let string_of_opportunity = function
+  | Critpath.Migrate_delayed (t, c) -> Printf.sprintf "migrate %d@%d" t c
+  | Critpath.Move_non_key (t, c) -> Printf.sprintf "move %d@%d" t c
+
+(* The linear opportunity pass against the quadratic oracle it
+   replaced, on every registry program's candidate layouts for three
+   machines plus heavy shakes of each: long critical paths (thousands
+   of steps on KMeans) with both kinds of opportunity. *)
+let test_critpath_matches_oracle () =
+  let compared = ref 0 and directed = ref 0 and migrations = ref 0 and moves = ref 0 in
+  List.iter
+    (fun (b : Bamboo_benchmarks.Bench_def.t) ->
+      let prog, an, prof = Helpers.registry_profiled b in
+      List.iter
+        (fun (machine : Machine.t) ->
+          let _, _, cands = Bamboo.Candidates.generate ~n:16 ~seed:1 prog an.cstg prof machine in
+          let rng = Bamboo.Prng.create ~seed:7 in
+          let shakes =
+            List.concat_map
+              (fun l -> List.init 5 (fun _ -> Bamboo.Dsa.heavy_shake rng prog l))
+              cands
+          in
+          List.iteri
+            (fun i l ->
+              match Schedsim.simulate prog prof l with
+              | exception Schedsim.Sim_overrun _ -> ()
+              | r ->
+                  let cp = Critpath.analyse r in
+                  let linear = Critpath.opportunities cp in
+                  let oracle = Critpath_oracle.opportunities cp in
+                  if linear <> oracle then
+                    Alcotest.failf "%s on %s, layout %d: linear pass [%s], oracle [%s]"
+                      b.b_name machine.name i
+                      (String.concat "; " (List.map string_of_opportunity linear))
+                      (String.concat "; " (List.map string_of_opportunity oracle));
+                  incr compared;
+                  if linear <> [] then incr directed;
+                  List.iter
+                    (function
+                      | Critpath.Migrate_delayed _ -> incr migrations
+                      | Critpath.Move_non_key _ -> incr moves)
+                    linear)
+            (cands @ shakes))
+        [ Machine.tilepro64; Machine.m16; Machine.quad ])
+    Bamboo_benchmarks.Registry.all;
+  Printf.printf "%d layouts compared, %d with opportunities (%d migrations, %d moves)\n"
+    !compared !directed !migrations !moves;
+  Helpers.check_bool "both kinds of opportunity compared" true (!migrations > 0 && !moves > 0)
+
 let test_critpath_to_string () =
   let prog, prof = setup Helpers.counter_src in
   let layout = Runtime.single_core_layout prog in
@@ -271,6 +320,7 @@ let tests =
       [
         Alcotest.test_case "basics" `Quick test_critpath_basics;
         Alcotest.test_case "opportunities" `Quick test_critpath_opportunities;
+        Alcotest.test_case "linear pass matches oracle" `Slow test_critpath_matches_oracle;
         Alcotest.test_case "rendering" `Quick test_critpath_to_string;
       ] );
   ]
