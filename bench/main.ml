@@ -8,12 +8,11 @@
      dune exec bench/main.exe all --quick     -- smaller inputs and sampling
      dune exec bench/main.exe fig7 --jobs 4   -- parallel layout evaluation
      dune exec bench/main.exe fig7 --json out.json  -- machine-readable results
-     dune exec bench/main.exe simbench        -- simulator fast-path microbenchmark
      dune exec bench/main.exe execbench       -- domains-backend scaling curve
      dune exec bench/main.exe execbench --json BENCH_pr4.json  -- machine-readable curve
      dune exec bench/main.exe stealbench      -- static vs work-stealing placement
      dune exec bench/main.exe stealbench --json BENCH_pr7.json  -- machine-readable comparison
-     dune exec bench/main.exe interpbench     -- tree vs bytecode vs closure engines
+     dune exec bench/main.exe interpbench     -- tree-walking oracle vs closure engine
      dune exec bench/main.exe interpbench --json BENCH_pr8.json  -- machine-readable comparison
      dune exec bench/main.exe synthbench      -- paper-scale multi-start synthesis
      dune exec bench/main.exe synthbench --json BENCH_pr9.json  -- machine-readable panels
@@ -24,10 +23,6 @@
    --jobs N fans candidate-layout simulation across N domains
    (default: Domain.recommended_domain_count, capped at 8).  Results
    are bit-identical for every N; only wall-clock changes.
-
-   --sim-reference routes every simulation through the pre-dense
-   reference implementation (same results, slower) — the oracle the
-   equivalence tests check the fast path against.
 
    Absolute cycle counts are not comparable with the paper (the
    TILEPro64 is replaced by a cost-model simulator, inputs are
@@ -320,102 +315,6 @@ let bechamel () =
     results
 
 (* ------------------------------------------------------------------ *)
-(* Simulator fast-path microbenchmark: the same layouts simulated by
-   the pre-dense reference implementation and by the prepared dense
-   engine, events/sec compared.  Both paths must agree event-for-event
-   (asserted here via the aggregate event count; the test suite checks
-   full traces), so the speedup column is the whole story. *)
-
-type simbench = {
-  sb_bench : string;
-  sb_layouts : int;
-  sb_reps : int;
-  sb_ref_seconds : float;
-  sb_ref_events : int;
-  sb_dense_seconds : float;
-  sb_dense_events : int;
-}
-
-let sb_ref_eps r =
-  if r.sb_ref_seconds > 0.0 then float_of_int r.sb_ref_events /. r.sb_ref_seconds else 0.0
-
-let sb_dense_eps r =
-  if r.sb_dense_seconds > 0.0 then float_of_int r.sb_dense_events /. r.sb_dense_seconds
-  else 0.0
-
-let sb_speedup r =
-  let ref_eps = sb_ref_eps r in
-  if ref_eps > 0.0 then sb_dense_eps r /. ref_eps else 0.0
-
-let simbench_result : simbench Lazy.t =
-  lazy
-    (let b =
-       List.find (fun (b : Bench_def.t) -> b.b_name = "KMeans") Registry.paper_benchmarks
-     in
-     Printf.eprintf "[bench] simulator microbenchmark (%s)...\n%!" b.b_name;
-     (* KMeans at 4x the Figure 7 input: parameter sets grow long
-        enough that the reference's per-event list sweeps dominate,
-        which is exactly the regime the dense engine exists for. *)
-     let args = [ "99200"; "4"; "5"; "496"; "10" ] in
-     let prog = Bamboo.compile b.b_source in
-     let an = Bamboo.analyse prog in
-     let prof = Bamboo.profile ~args prog in
-     let _, _, seeds =
-       Bamboo.Candidates.generate ~n:6 ~seed:7 prog an.cstg prof Bamboo.Machine.m16
-     in
-     let layouts = Bamboo.Runtime.single_core_layout prog :: seeds in
-     let prepared = Bamboo.Schedsim.prepare prog prof in
-     let run_ref () =
-       List.fold_left
-         (fun acc l ->
-           acc + (Bamboo.Schedsim.simulate_reference prog prof l).Bamboo.Schedsim.s_sim_events)
-         0 layouts
-     in
-     let run_dense () =
-       List.fold_left
-         (fun acc l ->
-           acc + (Bamboo.Schedsim.simulate_prepared prepared l).Bamboo.Schedsim.s_sim_events)
-         0 layouts
-     in
-     (* Warm-up, and a cheap equivalence check while we're at it. *)
-     let w_ref = run_ref () and w_dense = run_dense () in
-     if w_ref <> w_dense then
-       failwith
-         (Printf.sprintf "simbench: reference simulated %d events but dense %d" w_ref w_dense);
-     let reps = if !quick then 1 else 3 in
-     let time f =
-       let t0 = Bamboo.Clock.now () in
-       let events = ref 0 in
-       for _ = 1 to reps do
-         events := !events + f ()
-       done;
-       (Bamboo.Clock.elapsed t0, !events)
-     in
-     let ref_seconds, ref_events = time run_ref in
-     let dense_seconds, dense_events = time run_dense in
-     {
-       sb_bench = b.b_name;
-       sb_layouts = List.length layouts;
-       sb_reps = reps;
-       sb_ref_seconds = ref_seconds;
-       sb_ref_events = ref_events;
-       sb_dense_seconds = dense_seconds;
-       sb_dense_events = dense_events;
-     })
-
-let simbench () =
-  let r = Lazy.force simbench_result in
-  print_endline "== Simulator fast-path microbenchmark ==";
-  Printf.printf "  workload: %s, %d layouts x %d reps (single-core + 16-core candidates)\n"
-    r.sb_bench r.sb_layouts r.sb_reps;
-  Printf.printf "  reference: %9d events in %6.3f s  (%.3g events/sec)\n" r.sb_ref_events
-    r.sb_ref_seconds (sb_ref_eps r);
-  Printf.printf "  dense:     %9d events in %6.3f s  (%.3g events/sec)\n" r.sb_dense_events
-    r.sb_dense_seconds (sb_dense_eps r);
-  Printf.printf "  speedup: %.2fx (events/sec, dense over reference)\n" (sb_speedup r);
-  print_endline ""
-
-(* ------------------------------------------------------------------ *)
 (* execbench: scaling curve of the parallel OCaml-domains execution
    backend (lib/exec) over 1/2/4/8 domains.  Every point is checked
    against the sequential runtime's canonical digest before its time
@@ -689,21 +588,18 @@ let stealbench () =
     exit 1)
 
 (* ------------------------------------------------------------------ *)
-(* interpbench: the three interpreter engines — tree-walking oracle,
-   flat bytecode executor, and the closure-compiled engine — timed on
-   the same sequential runtime workload.  Every row cross-checks the
-   canonical digest AND the exact charged cycle total across all three
-   engines before reporting a time; the speedup columns count one-off
-   code generation against the engine that needs it (bytecode
-   compilation for both compiled tiers, plus closure codegen for the
-   closure tier — both are part of end-to-end `bamboo run`). *)
+(* interpbench: the two interpreter engines — tree-walking oracle and
+   closure engine — timed on the same sequential runtime workload.
+   Every row cross-checks the canonical digest AND the exact charged
+   cycle total across both engines before reporting a time; the
+   speedup column counts the closure engine's one-off code generation
+   (IR to bytecode to closures, part of end-to-end `bamboo run`)
+   against it. *)
 
 type interprow = {
   ir_name : string;
-  ir_compile_seconds : float;  (* IR -> bytecode, once per program *)
-  ir_closgen_seconds : float;  (* bytecode -> closures, once per program *)
+  ir_codegen_seconds : float;  (* IR -> closures, once per program *)
   ir_tree_wall : float;
-  ir_byte_wall : float;
   ir_clos_wall : float;
   ir_reps : int;
   ir_cycles : int;
@@ -711,21 +607,11 @@ type interprow = {
   ir_digest_ok : bool;
 }
 
-(* Wall-time speedup of the bytecode engine over the tree walker, with
-   its one-off compilation counted against it. *)
-let ir_speedup_byte r =
-  let byte = r.ir_byte_wall +. r.ir_compile_seconds in
-  if byte > 0.0 then r.ir_tree_wall /. byte else 0.0
-
-(* Wall-time speedup of the closure engine over the bytecode engine.
-   Both tiers pay bytecode compilation; the closure tier additionally
-   pays closure codegen. *)
+(* Wall-time speedup of the closure engine over the tree walker, with
+   its one-off code generation counted against it. *)
 let ir_speedup_clos r =
-  let clos = r.ir_clos_wall +. r.ir_compile_seconds +. r.ir_closgen_seconds in
-  if clos > 0.0 then (r.ir_byte_wall +. r.ir_compile_seconds) /. clos else 0.0
-
-let ir_byte_cycles_per_sec r =
-  if r.ir_byte_wall > 0.0 then float_of_int r.ir_cycles /. r.ir_byte_wall else 0.0
+  let clos = r.ir_clos_wall +. r.ir_codegen_seconds in
+  if clos > 0.0 then r.ir_tree_wall /. clos else 0.0
 
 let ir_clos_cycles_per_sec r =
   if r.ir_clos_wall > 0.0 then float_of_int r.ir_cycles /. r.ir_clos_wall else 0.0
@@ -746,11 +632,8 @@ let interpbench_results : interprow list Lazy.t =
          in
          let prog = Bamboo.compile b.b_source in
          let t0 = Bamboo.Clock.now () in
-         ignore (Bamboo.Icompile.get prog);
-         let compile_seconds = Bamboo.Clock.elapsed t0 in
-         let t0 = Bamboo.Clock.now () in
          ignore (Bamboo.Iclosure.get prog);
-         let closgen_seconds = Bamboo.Clock.elapsed t0 in
+         let codegen_seconds = Bamboo.Clock.elapsed t0 in
          let time_engine e =
            with_engine e (fun () ->
                let best = ref infinity and last = ref None in
@@ -767,45 +650,39 @@ let interpbench_results : interprow list Lazy.t =
                  Bamboo.Canon.digest prog ~output:r.r_output ~objects:r.r_objects ))
          in
          let clos_wall, clos_cycles, clos_digest = time_engine Bamboo.Interp.Closure in
-         let byte_wall, byte_cycles, byte_digest = time_engine Bamboo.Interp.Bytecode in
          let tree_wall, tree_cycles, tree_digest = time_engine Bamboo.Interp.Tree in
          {
            ir_name = b.b_name;
-           ir_compile_seconds = compile_seconds;
-           ir_closgen_seconds = closgen_seconds;
+           ir_codegen_seconds = codegen_seconds;
            ir_tree_wall = tree_wall;
-           ir_byte_wall = byte_wall;
            ir_clos_wall = clos_wall;
            ir_reps = reps;
            ir_cycles = clos_cycles;
-           ir_cycles_ok = byte_cycles = tree_cycles && clos_cycles = tree_cycles;
-           ir_digest_ok = byte_digest = tree_digest && clos_digest = tree_digest;
+           ir_cycles_ok = clos_cycles = tree_cycles;
+           ir_digest_ok = clos_digest = tree_digest;
          })
        Registry.all)
 
 let interpbench () =
   let rows = Lazy.force interpbench_results in
-  print_endline "== interpbench: tree oracle vs bytecode vs closure engines ==";
+  print_endline "== interpbench: tree oracle vs closure engine ==";
   Printf.printf
-    "   (sequential runtime, best of %s; speedups count one-off codegen time;\n\
-    \    cycles and digest are asserted bit-identical across all three engines)\n"
+    "   (sequential runtime, best of %s; the speedup counts one-off codegen time;\n\
+    \    cycles and digest are asserted bit-identical across both engines)\n"
     (if !quick then "1 rep" else "5 reps");
   Table.print
     ~headers:
       [
-        "Benchmark"; "compile s"; "closgen s"; "tree s"; "bytecode s"; "closure s";
-        "byte/tree"; "clos/byte"; "Mcycles/s"; "cycles"; "digest";
+        "Benchmark"; "codegen s"; "tree s"; "closure s"; "clos/tree"; "Mcycles/s"; "cycles";
+        "digest";
       ]
     (List.map
        (fun r ->
          [
            r.ir_name;
-           Printf.sprintf "%.4f" r.ir_compile_seconds;
-           Printf.sprintf "%.4f" r.ir_closgen_seconds;
+           Printf.sprintf "%.4f" r.ir_codegen_seconds;
            Printf.sprintf "%.3f" r.ir_tree_wall;
-           Printf.sprintf "%.3f" r.ir_byte_wall;
            Printf.sprintf "%.3f" r.ir_clos_wall;
-           Printf.sprintf "%.2fx" (ir_speedup_byte r);
            Printf.sprintf "%.2fx" (ir_speedup_clos r);
            Printf.sprintf "%.1f" (ir_clos_cycles_per_sec r /. 1e6);
            (if r.ir_cycles_ok then "ok" else "MISMATCH");
@@ -1234,9 +1111,9 @@ let servebench () =
 
 (* ------------------------------------------------------------------ *)
 (* JSON emitters (machine-readable records so future PRs can track the
-   perf trajectory): BENCH_pr3 = figures + simulator microbenchmark,
-   BENCH_pr4 = domains-backend scaling curve, BENCH_pr8 = three-way
-   interpreter engine comparison (supersedes BENCH_pr5), BENCH_pr9 =
+   perf trajectory): BENCH_pr3 = figures, BENCH_pr4 = domains-backend
+   scaling curve, BENCH_pr8 = tree vs closure interpreter engine
+   comparison (supersedes BENCH_pr5), BENCH_pr9 =
    paper-scale synthesis panels, BENCH_pr10 = streaming-runtime rate
    sweeps.  All built on the shared Json_out tree. *)
 
@@ -1266,27 +1143,12 @@ let emit_json path =
         ("output_ok", Bool r.br_ok);
       ]
   in
-  let sb = Lazy.force simbench_result in
   write path
     (Obj
        [
          ("schema", Str "BENCH_pr3");
          ("jobs", Int !jobs);
          ("quick", Bool !quick);
-         ( "simulator",
-           Obj
-             [
-               ("microbench", Str sb.sb_bench);
-               ("layouts", Int sb.sb_layouts);
-               ("reps", Int sb.sb_reps);
-               ("reference_seconds", Float sb.sb_ref_seconds);
-               ("reference_events", Int sb.sb_ref_events);
-               ("reference_events_per_sec", Float (sb_ref_eps sb));
-               ("dense_seconds", Float sb.sb_dense_seconds);
-               ("dense_events", Int sb.sb_dense_events);
-               ("dense_events_per_sec", Float (sb_dense_eps sb));
-               ("events_per_sec_speedup", Float (sb_speedup sb));
-             ] );
          ("benchmarks", Arr (List.map bench_obj (Lazy.force results)));
        ])
 
@@ -1385,16 +1247,12 @@ let emit_interp_json path =
     Obj
       [
         ("name", Str r.ir_name);
-        ("compile_seconds", Float r.ir_compile_seconds);
-        ("closure_codegen_seconds", Float r.ir_closgen_seconds);
+        ("codegen_seconds", Float r.ir_codegen_seconds);
         ("tree_wall_seconds", Float r.ir_tree_wall);
-        ("bytecode_wall_seconds", Float r.ir_byte_wall);
         ("closure_wall_seconds", Float r.ir_clos_wall);
         ("reps", Int r.ir_reps);
-        ("speedup_bytecode_vs_tree", Float (ir_speedup_byte r));
-        ("speedup_closure_vs_bytecode", Float (ir_speedup_clos r));
+        ("speedup_closure_vs_tree", Float (ir_speedup_clos r));
         ("cycles", Int r.ir_cycles);
-        ("bytecode_cycles_per_sec", Float (ir_byte_cycles_per_sec r));
         ("closure_cycles_per_sec", Float (ir_clos_cycles_per_sec r));
         ("cycles_ok", Bool r.ir_cycles_ok);
         ("digest_ok", Bool r.ir_digest_ok);
@@ -1537,9 +1395,6 @@ let () =
     | "--quick" :: rest ->
         quick := true;
         parse rest
-    | "--sim-reference" :: rest ->
-        Bamboo.Schedsim.use_reference := true;
-        parse rest
     | "--jobs" :: n :: rest ->
         (* Same 1..64 cap as the CLI: more domains than that only adds
            scheduler churn on any machine we target. *)
@@ -1567,7 +1422,6 @@ let () =
   | "fig9" -> fig9 ()
   | "fig10" -> fig10 ~quick:!quick ()
   | "fig11" -> fig11 ()
-  | "simbench" -> simbench ()
   | "execbench" -> execbench ()
   | "stealbench" -> stealbench ()
   | "interpbench" -> interpbench ()
@@ -1579,7 +1433,6 @@ let () =
       fig9 ();
       fig10 ~quick:!quick ();
       fig11 ();
-      simbench ();
       execbench ();
       stealbench ();
       interpbench ();
@@ -1587,7 +1440,7 @@ let () =
   | other ->
       Printf.eprintf
         "unknown target %s \
-         (fig7|fig9|fig10|fig11|simbench|execbench|stealbench|interpbench|synthbench|servebench|bechamel|all)\n"
+         (fig7|fig9|fig10|fig11|execbench|stealbench|interpbench|synthbench|servebench|bechamel|all)\n"
         other;
       exit 2);
   (match !json_path with

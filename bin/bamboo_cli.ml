@@ -136,50 +136,16 @@ let domains_arg =
            schedulers are multiplexed over them; default: recommended domain count, capped \
            at 8)")
 
-let sim_reference_arg =
-  Arg.(
-    value & flag
-    & info [ "sim-reference" ]
-        ~doc:
-          "route scheduling simulations through the pre-dense reference implementation \
-           (bit-identical results, slower; also enabled by the BAMBOO_SIM_REFERENCE \
-           environment variable)")
-
 let engine_arg =
   Arg.(
     value
-    & opt
-        (some
-           (enum
-              [
-                ("tree", Bamboo.Interp.Tree);
-                ("bytecode", Bamboo.Interp.Bytecode);
-                ("closure", Bamboo.Interp.Closure);
-              ]))
-        None
+    & opt (enum [ ("tree", Bamboo.Interp.Tree); ("closure", Bamboo.Interp.Closure) ])
+        Bamboo.Interp.Closure
     & info [ "engine" ] ~docv:"ENGINE"
         ~doc:
           "interpreter engine for task bodies: $(b,closure) (direct-threaded closures, \
-           the default), $(b,bytecode) (dispatch-loop executor), or $(b,tree) (the \
-           tree-walking oracle) — all bit-identical on digests and cycle counts; also \
-           selectable via the BAMBOO_INTERP_ENGINE environment variable)")
-
-let interp_reference_arg =
-  Arg.(
-    value & flag
-    & info [ "interp-reference" ]
-        ~doc:
-          "deprecated alias for $(b,--engine tree) (also enabled by the \
-           BAMBOO_INTERP_REFERENCE environment variable)")
-
-(** Resolve the engine flags: an explicit [--engine] wins, the
-    deprecated [--interp-reference] maps to the tree walker, and
-    otherwise the environment-seeded default stands. *)
-let set_engine engine interp_reference =
-  match (engine, interp_reference) with
-  | Some e, _ -> Bamboo.Interp.engine := e
-  | None, true -> Bamboo.Interp.engine := Bamboo.Interp.Tree
-  | None, false -> ()
+           the default) or $(b,tree) (the tree-walking oracle) — bit-identical on digests \
+           and cycle counts")
 
 let machine_of cores = Bamboo.Machine.with_cores Bamboo.Machine.tilepro64 cores
 
@@ -351,9 +317,9 @@ let cmd_taskflow =
     Term.(const run $ file_arg)
 
 let cmd_profile =
-  let run file args engine interp_reference =
+  let run file args engine =
     with_args_hint file args @@ fun () ->
-    set_engine engine interp_reference;
+    Bamboo.Interp.engine := engine;
     let prog = load file in
     let prof, r = Bamboo.Profile.collect ~args prog in
     Printf.printf "single-core execution: %d cycles, %d invocations\n%s" r.r_total_cycles
@@ -362,10 +328,9 @@ let cmd_profile =
     Format.printf "%a@?" (fun fmt () -> Bamboo.Profile.pp fmt prog prof) ()
   in
   Cmd.v (Cmd.info "profile" ~doc:"run on one core and print the profile statistics")
-    Term.(const run $ file_arg $ args_arg $ engine_arg $ interp_reference_arg)
+    Term.(const run $ file_arg $ args_arg $ engine_arg)
 
-let synthesize file args cores seed jobs starts tempering sim_reference =
-  if sim_reference then Bamboo.Schedsim.use_reference := true;
+let synthesize file args cores seed jobs starts tempering =
   let prog = load file in
   let an = Bamboo.analyse prog in
   let prof = Bamboo.profile ~args prog in
@@ -373,11 +338,11 @@ let synthesize file args cores seed jobs starts tempering sim_reference =
   (prog, an, o)
 
 let cmd_synth =
-  let run file args cores seed jobs starts tempering sim_reference engine interp_reference =
+  let run file args cores seed jobs starts tempering engine =
     with_args_hint file args @@ fun () ->
-    set_engine engine interp_reference;
+    Bamboo.Interp.engine := engine;
     let prog, _, (o : Bamboo.Dsa.outcome) =
-      synthesize file args cores seed jobs starts tempering sim_reference
+      synthesize file args cores seed jobs starts tempering
     in
     Printf.printf
       "estimated %d cycles; %d layouts evaluated (+%d cache hits, %d pruned) over %d \
@@ -391,14 +356,13 @@ let cmd_synth =
   Cmd.v (Cmd.info "synth" ~doc:"synthesize an optimized layout (multi-start candidates + DSA)")
     Term.(
       const run $ file_arg $ args_arg $ cores_arg $ seed_arg $ jobs_arg $ starts_arg
-      $ tempering_arg $ sim_reference_arg $ engine_arg $ interp_reference_arg)
+      $ tempering_arg $ engine_arg)
 
 let cmd_run =
-  let run file args cores seed jobs starts tempering sim_reference engine interp_reference
-      digest =
+  let run file args cores seed jobs starts tempering engine digest =
     with_args_hint file args @@ fun () ->
-    set_engine engine interp_reference;
-    let prog, an, o = synthesize file args cores seed jobs starts tempering sim_reference in
+    Bamboo.Interp.engine := engine;
+    let prog, an, o = synthesize file args cores seed jobs starts tempering in
     let r = Bamboo.execute ~args prog an o.best in
     print_string r.r_output;
     Printf.printf "%d cycles on %d cores (%d invocations, %d messages, %d failed locks)\n"
@@ -418,49 +382,64 @@ let cmd_run =
   Cmd.v (Cmd.info "run" ~doc:"synthesize a layout and execute the program on it")
     Term.(
       const run $ file_arg $ args_arg $ cores_arg $ seed_arg $ jobs_arg $ starts_arg
-      $ tempering_arg $ sim_reference_arg $ engine_arg $ interp_reference_arg $ digest_arg)
+      $ tempering_arg $ engine_arg $ digest_arg)
 
 let cmd_exec =
-  let run file args cores domains seed jobs starts tempering layout_kind sim_reference
-      exec_reference engine interp_reference digest_only canon sanitize schedule =
+  let run file args cores domains seed jobs starts tempering layout_kind exec_reference
+      engine digest_only canon sanitize schedule =
     with_args_hint file args @@ fun () ->
-    if exec_reference then Bamboo.Exec.use_reference := true;
-    set_engine engine interp_reference;
+    Bamboo.Interp.engine := engine;
     let prog = load file in
     let an = Bamboo.analyse prog in
     let layout =
       match layout_kind with
       | `Spread -> Bamboo.Exec.spread_layout prog (machine_of cores)
       | `Synth ->
-          if sim_reference then Bamboo.Schedsim.use_reference := true;
           let prof = Bamboo.profile ~args prog in
           (Bamboo.synthesize ~seed ~jobs ~starts ~tempering prog an prof (machine_of cores))
             .best
     in
-    let sanitize =
-      if sanitize then Some (Bamboo.Effects.analyse prog an.astgs) else None
+    let print ~output ~objects ~digest summary =
+      if digest_only then print_endline digest
+      else if canon then print_endline (Bamboo.Canon.canonical prog ~output ~objects)
+      else begin
+        print_string output;
+        summary ()
+      end
     in
-    let r = Bamboo.execute_parallel ~args ~domains ~seed ?sanitize ~schedule prog an layout in
-    if digest_only then print_endline r.x_digest
-    else if canon then
-      print_endline (Bamboo.Canon.canonical prog ~output:r.x_output ~objects:r.x_objects)
+    if exec_reference && not sanitize then begin
+      let r = Bamboo.execute ~args prog an layout in
+      let digest = Bamboo.Canon.digest prog ~output:r.r_output ~objects:r.r_objects in
+      print ~output:r.r_output ~objects:r.r_objects ~digest (fun () ->
+          Printf.printf
+            "sequential runtime on %d cores (%d invocations, %d cycles, %d messages, %d \
+             failed locks)\ndigest: %s\n"
+            cores r.r_invocations r.r_total_cycles r.r_messages r.r_failed_locks digest)
+    end
     else begin
-      print_string r.x_output;
-      Printf.printf
-        "%.3f s wall on %d domains (%d cores; %d invocations, %d cycles charged, %d \
-         messages, %d lock retries)\ndigest: %s\n"
-        r.x_wall_seconds r.x_domains cores r.x_invocations r.x_cycles r.x_messages
-        r.x_lock_retries r.x_digest;
-      if schedule = Bamboo.Exec.Steal then
-        Printf.printf "steals: %d of %d attempts (%d lost races), %d invocations ran off-home, %d idle polls\n"
-          r.x_steals r.x_steal_attempts r.x_steal_aborts r.x_stolen_invocations r.x_idle_polls
-    end;
-    (match (sanitize, r.x_violations) with
-    | Some _, [] -> if not digest_only && not canon then print_endline "sanitizer: clean"
-    | Some _, vs ->
-        List.iter (fun v -> Printf.eprintf "sanitizer: %s\n" v) vs;
-        exit 1
-    | None, _ -> ())
+      let sanitize = if sanitize then Some (Bamboo.Effects.analyse prog an.astgs) else None in
+      let r =
+        Bamboo.execute_parallel ~args ~domains ~seed ?sanitize ~schedule prog an layout
+      in
+      print ~output:r.x_output ~objects:r.x_objects ~digest:r.x_digest (fun () ->
+          Printf.printf
+            "%.3f s wall on %d domains (%d cores; %d invocations, %d cycles charged, %d \
+             messages, %d lock retries)\ndigest: %s\n"
+            r.x_wall_seconds r.x_domains cores r.x_invocations r.x_cycles r.x_messages
+            r.x_lock_retries r.x_digest;
+          if schedule = Bamboo.Exec.Steal then
+            Printf.printf
+              "steals: %d of %d attempts (%d lost races), %d invocations ran off-home, %d \
+               idle polls\n"
+              r.x_steals r.x_steal_attempts r.x_steal_aborts r.x_stolen_invocations
+              r.x_idle_polls);
+      match (sanitize, r.x_violations) with
+      | Some _, [] -> if not digest_only && not canon then print_endline "sanitizer: clean"
+      | Some _, vs ->
+          List.iter (fun v -> Printf.eprintf "sanitizer: %s\n" v) vs;
+          exit 1
+      | None, _ -> ()
+    end
   in
   let layout_arg =
     Arg.(
@@ -477,9 +456,8 @@ let cmd_exec =
       value & flag
       & info [ "exec-reference" ]
           ~doc:
-            "route execution through the sequential deterministic runtime instead of the \
-             parallel backend (the equivalence oracle; also enabled by the \
-             BAMBOO_EXEC_REFERENCE environment variable)")
+            "run on the sequential deterministic runtime (the equivalence oracle) instead \
+             of the parallel backend; ignored under $(b,--sanitize)")
   in
   let digest_only_arg =
     Arg.(
@@ -523,9 +501,8 @@ let cmd_exec =
           compare against $(b,bamboo run) with $(b,--exec-reference) or $(b,--digest-only))")
     Term.(
       const run $ file_arg $ args_arg $ cores_arg $ domains_arg $ seed_arg $ jobs_arg
-      $ starts_arg $ tempering_arg $ layout_arg $ sim_reference_arg $ exec_reference_arg
-      $ engine_arg $ interp_reference_arg $ digest_only_arg $ canon_arg $ sanitize_arg
-      $ schedule_arg)
+      $ starts_arg $ tempering_arg $ layout_arg $ exec_reference_arg $ engine_arg
+      $ digest_only_arg $ canon_arg $ sanitize_arg $ schedule_arg)
 
 (* A request class on the command line: NAME=ARG,ARG,... or
    NAME*WEIGHT=ARG,ARG,... (weight defaults to 1). *)
@@ -558,18 +535,16 @@ let class_conv =
   Arg.conv (parse, print)
 
 let cmd_serve =
-  let run file args cores domains seed jobs starts tempering layout_kind sim_reference
-      engine interp_reference schedule rate duration arrivals admission queue inflight
-      check classes =
+  let run file args cores domains seed jobs starts tempering layout_kind engine schedule
+      rate duration arrivals admission queue inflight check classes =
     with_args_hint file args @@ fun () ->
-    set_engine engine interp_reference;
+    Bamboo.Interp.engine := engine;
     let prog = load file in
     let an = Bamboo.analyse prog in
     let layout =
       match layout_kind with
       | `Spread -> Bamboo.Exec.spread_layout prog (machine_of cores)
       | `Synth ->
-          if sim_reference then Bamboo.Schedsim.use_reference := true;
           let prof = Bamboo.profile ~args prog in
           (Bamboo.synthesize ~seed ~jobs ~starts ~tempering prog an prof (machine_of cores))
             .best
@@ -717,14 +692,14 @@ let cmd_serve =
           report sustained throughput plus per-class p50/p95/p99 latency")
     Term.(
       const run $ file_arg $ args_arg $ cores_arg $ domains_arg $ seed_arg $ jobs_arg
-      $ starts_arg $ tempering_arg $ layout_arg $ sim_reference_arg $ engine_arg
-      $ interp_reference_arg $ schedule_arg $ rate_arg $ duration_arg $ arrivals_arg
-      $ admission_arg $ queue_arg $ inflight_arg $ check_arg $ classes_arg)
+      $ starts_arg $ tempering_arg $ layout_arg $ engine_arg $ schedule_arg $ rate_arg
+      $ duration_arg $ arrivals_arg $ admission_arg $ queue_arg $ inflight_arg $ check_arg
+      $ classes_arg)
 
 let cmd_trace =
-  let run file args cores seed jobs starts tempering sim_reference =
+  let run file args cores seed jobs starts tempering =
     with_args_hint file args @@ fun () ->
-    let prog, _, o = synthesize file args cores seed jobs starts tempering sim_reference in
+    let prog, _, o = synthesize file args cores seed jobs starts tempering in
     let prof = Bamboo.profile ~args prog in
     let sim = Bamboo.Schedsim.simulate prog prof o.best in
     let cp = Bamboo.Critpath.analyse sim in
@@ -734,7 +709,7 @@ let cmd_trace =
     (Cmd.info "trace" ~doc:"print the simulated execution trace and critical path (paper Fig. 6)")
     Term.(
       const run $ file_arg $ args_arg $ cores_arg $ seed_arg $ jobs_arg $ starts_arg
-      $ tempering_arg $ sim_reference_arg)
+      $ tempering_arg)
 
 let cmd_dump =
   let run name seq =

@@ -33,7 +33,6 @@ module Ir = Bamboo_ir.Ir
 module Value = Bamboo_interp.Value
 module Interp = Bamboo_interp.Interp
 module Bytecode = Bamboo_interp.Bytecode
-module Icompile = Bamboo_interp.Compile
 module Iclosure = Bamboo_interp.Closure
 module Cost = Bamboo_interp.Cost
 module Astg = Bamboo_analysis.Astg

@@ -34,9 +34,7 @@
 
     The sequential runtime stays the equivalence oracle: for every
     program, [run] and [Runtime.run] must agree on the canonical
-    output digest ({!Canon.digest}).  [use_reference] (CLI
-    [--exec-reference], environment [BAMBOO_EXEC_REFERENCE]) routes
-    [run] through the sequential runtime as an escape hatch. *)
+    output digest ({!Canon.digest}). *)
 
 module Ir = Bamboo_ir.Ir
 module Interp = Bamboo_interp.Interp
@@ -159,7 +157,7 @@ type xcore = {
     obj array ->
     tag_binds:(Ir.slot * tag_inst) list ->
     Interp.invocation_result;
-  (* [ictx]'s engine (bytecode executor or tree-walking oracle),
+  (* [ictx]'s engine (closure engine or tree-walking oracle),
      resolved once per core at construction *)
   rr : int array array;                 (* round-robin routing counters *)
   stealq : invocation Chase_lev.t;      (* steal-safe work; stolen by any domain *)
@@ -796,7 +794,7 @@ type result = {
   x_invocations : int;
   x_lock_retries : int;             (* failed lock-acquisition rounds *)
   x_messages : int;                 (* cross-core mailbox messages *)
-  x_domains : int;                  (* 0 = sequential reference path *)
+  x_domains : int;                  (* domains actually used *)
   x_output : string;                (* per-core outputs, core order *)
   x_objects : obj list;
   x_digest : string;                (* {!Canon.digest}: output + abstract heap state *)
@@ -809,40 +807,6 @@ type result = {
   x_steal_aborts : int;
   x_stolen_invocations : int;       (* invocations executed off their home core *)
 }
-
-(** When set, {!run} executes on the sequential deterministic runtime
-    instead of the parallel backend — the [--exec-reference] escape
-    hatch.  Initialized from the [BAMBOO_EXEC_REFERENCE] environment
-    variable ("" and "0" mean off). *)
-let use_reference =
-  ref
-    (match Sys.getenv_opt "BAMBOO_EXEC_REFERENCE" with
-    | None | Some "" | Some "0" -> false
-    | Some _ -> true)
-
-let reference_run ?args ?max_invocations ?lock_groups (prog : Ir.program) (layout : Layout.t) :
-    result =
-  let t0 = Clock.now () in
-  let r = Runtime.run ?args ?max_invocations ?lock_groups prog layout in
-  {
-    x_wall_seconds = Clock.elapsed t0;
-    x_cycles = r.r_total_cycles;
-    x_invocations = r.r_invocations;
-    x_lock_retries = r.r_failed_locks;
-    x_messages = r.r_messages;
-    x_domains = 0;
-    x_output = r.r_output;
-    x_objects = r.r_objects;
-    x_digest = Canon.digest prog ~output:r.r_output ~objects:r.r_objects;
-    x_per_core_invocations = [||];
-    x_violations = [];
-    x_core_stats = [||];
-    x_idle_polls = 0;
-    x_steal_attempts = 0;
-    x_steals = 0;
-    x_steal_aborts = 0;
-    x_stolen_invocations = 0;
-  }
 
 (* ------------------------------------------------------------------ *)
 (* Top-level run *)
@@ -959,74 +923,70 @@ let cores_of_domain st (active : int array) ndomains d =
 let run ?(args = []) ?(max_invocations = 2_000_000) ?lock_groups ?(domains = 4) ?(seed = 0)
     ?(chaos = 0.0) ?sanitize ?(schedule = Static) ?steal_safe (prog : Ir.program)
     (layout : Layout.t) : result =
-  if !use_reference && sanitize = None then
-    reference_run ~args ~max_invocations ?lock_groups prog layout
-  else begin
-    let st, active =
-      build_state ~max_invocations ?lock_groups ~schedule ?steal_safe ~serving:false prog
-        layout
-    in
-    let cores = st.cores in
-    let sanitizer =
-      match sanitize with
-      | None -> None
-      | Some eff ->
-          let sn = Sanitize.create prog eff in
-          Array.iter
-            (fun core ->
-              let ses = Sanitize.session sn in
-              core.san <- Some ses;
-              core.ictx.Interp.monitor <- Some (Sanitize.monitor ses))
-            cores;
-          Some sn
-    in
-    let ndomains = max 1 (min (min domains max_domains) (max 1 (Array.length active))) in
-    let t0 = Clock.now () in
-    (* Boot: create the startup object on core 0's context and
-       dispatch it before any domain exists (no lock needed). *)
-    let startup = Interp.make_startup cores.(0).ictx args in
-    dispatch st cores.(0) (snapshot startup);
-    let root = Prng.create ~seed in
-    let streams = Array.init ndomains (fun _ -> Prng.split root) in
-    let workers =
-      Array.init (ndomains - 1) (fun i ->
-          let d = i + 1 in
-          Domain.spawn (fun () ->
-              try domain_loop st (cores_of_domain st active ndomains d) streams.(d) ~chaos
-              with e -> record_crash st e))
-    in
-    (try domain_loop st (cores_of_domain st active ndomains 0) streams.(0) ~chaos
-     with e -> record_crash st e);
-    Array.iter Domain.join workers;
-    (match Atomic.get st.crashed with Some e -> raise e | None -> ());
-    let wall = Clock.elapsed t0 in
-    let output =
-      String.concat "" (Array.to_list (Array.map (fun c -> Interp.output c.ictx) cores))
-    in
-    let objects = List.concat_map (fun c -> Interp.final_objects c.ictx) (Array.to_list cores) in
-    let core_stats = collect_core_stats cores in
-    let sum f = Array.fold_left (fun a c -> a + f c) 0 cores in
-    {
-      x_wall_seconds = wall;
-      x_cycles = sum (fun c -> c.ictx.Interp.cycles);
-      x_invocations = sum (fun c -> c.executed);
-      x_lock_retries = sum (fun c -> c.retries);
-      x_messages = sum (fun c -> c.sent);
-      x_domains = ndomains;
-      x_output = output;
-      x_objects = objects;
-      x_digest = Canon.digest prog ~output ~objects;
-      x_per_core_invocations = Array.map (fun c -> c.executed) cores;
-      x_violations =
-        (match sanitizer with Some sn -> Sanitize.violations sn | None -> []);
-      x_core_stats = core_stats;
-      x_idle_polls = sum (fun c -> c.idle_polls);
-      x_steal_attempts = sum (fun c -> c.steal_attempts);
-      x_steals = sum (fun c -> c.steal_hits);
-      x_steal_aborts = sum (fun c -> c.steal_aborts);
-      x_stolen_invocations = sum (fun c -> c.stolen_run);
-    }
-  end
+  let st, active =
+    build_state ~max_invocations ?lock_groups ~schedule ?steal_safe ~serving:false prog
+      layout
+  in
+  let cores = st.cores in
+  let sanitizer =
+    match sanitize with
+    | None -> None
+    | Some eff ->
+        let sn = Sanitize.create prog eff in
+        Array.iter
+          (fun core ->
+            let ses = Sanitize.session sn in
+            core.san <- Some ses;
+            core.ictx.Interp.monitor <- Some (Sanitize.monitor ses))
+          cores;
+        Some sn
+  in
+  let ndomains = max 1 (min (min domains max_domains) (max 1 (Array.length active))) in
+  let t0 = Clock.now () in
+  (* Boot: create the startup object on core 0's context and
+     dispatch it before any domain exists (no lock needed). *)
+  let startup = Interp.make_startup cores.(0).ictx args in
+  dispatch st cores.(0) (snapshot startup);
+  let root = Prng.create ~seed in
+  let streams = Array.init ndomains (fun _ -> Prng.split root) in
+  let workers =
+    Array.init (ndomains - 1) (fun i ->
+        let d = i + 1 in
+        Domain.spawn (fun () ->
+            try domain_loop st (cores_of_domain st active ndomains d) streams.(d) ~chaos
+            with e -> record_crash st e))
+  in
+  (try domain_loop st (cores_of_domain st active ndomains 0) streams.(0) ~chaos
+   with e -> record_crash st e);
+  Array.iter Domain.join workers;
+  (match Atomic.get st.crashed with Some e -> raise e | None -> ());
+  let wall = Clock.elapsed t0 in
+  let output =
+    String.concat "" (Array.to_list (Array.map (fun c -> Interp.output c.ictx) cores))
+  in
+  let objects = List.concat_map (fun c -> Interp.final_objects c.ictx) (Array.to_list cores) in
+  let core_stats = collect_core_stats cores in
+  let sum f = Array.fold_left (fun a c -> a + f c) 0 cores in
+  {
+    x_wall_seconds = wall;
+    x_cycles = sum (fun c -> c.ictx.Interp.cycles);
+    x_invocations = sum (fun c -> c.executed);
+    x_lock_retries = sum (fun c -> c.retries);
+    x_messages = sum (fun c -> c.sent);
+    x_domains = ndomains;
+    x_output = output;
+    x_objects = objects;
+    x_digest = Canon.digest prog ~output ~objects;
+    x_per_core_invocations = Array.map (fun c -> c.executed) cores;
+    x_violations =
+      (match sanitizer with Some sn -> Sanitize.violations sn | None -> []);
+    x_core_stats = core_stats;
+    x_idle_polls = sum (fun c -> c.idle_polls);
+    x_steal_attempts = sum (fun c -> c.steal_attempts);
+    x_steals = sum (fun c -> c.steal_hits);
+    x_steal_aborts = sum (fun c -> c.steal_aborts);
+    x_stolen_invocations = sum (fun c -> c.stolen_run);
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Streaming sessions: the serve runtime's injection surface.

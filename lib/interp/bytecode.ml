@@ -1,4 +1,5 @@
-(** Flat bytecode for task and method bodies.
+(** Flat bytecode for task and method bodies: the format the closure
+    engine ({!Closure}) consumes.
 
     The compiler ({!Compile}) lowers each `Ir.stmt list` body into one
     [instr array] over three indexed register banks: an unboxed

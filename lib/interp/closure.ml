@@ -1,9 +1,9 @@
 (** The closure-compilation engine: direct-threaded OCaml closures
-    above the bytecode tier.
+    over the bytecode that {!Compile} produces.
 
-    {!Compile} still pays a dispatch loop — a bounds-checked fetch, a
-    match over ~90 constructors, and operand field loads — for every
-    instruction it executes.  This engine removes all three: each
+    A dispatch loop over that bytecode would pay a bounds-checked
+    fetch, a match over ~90 constructors, and operand field loads for
+    every instruction it executes.  This engine pays none of them: each
     bytecode instruction is translated, once per program, into one
     OCaml closure whose operands (register indices, constants, resolved
     callee entries) are captured at codegen, and whose continuation —
@@ -18,15 +18,13 @@
     through one extra indirection — a closure that indexes [built] at
     run time, because the target is not built yet when the jump is.
 
-    The cycle/fuel/digest contract is inherited rather than re-proved:
-    the input is the bytecode produced by {!Compile}, so the per-block
-    [Kcost] aggregates sit exactly where the dispatch loop would have
-    executed them, and each instruction closure performs the same
-    effects (same {!Cost} charges, same [notify_read]/[notify_write]
-    monitor hooks, same error messages, in the same order) as the
-    corresponding [Compile.exec] arm.  The [interp.equivalence] and
-    [interp.fuzz] suites check all of it against the tree-walking
-    oracle. *)
+    The cycle/fuel/digest contract comes from the bytecode: {!Compile}
+    places each per-block [Kcost] aggregate where the block's IR nodes
+    execute, and each instruction closure performs its instruction's
+    effects (the {!Cost} charges, [notify_read]/[notify_write] monitor
+    hooks and error messages of the tree walker, in its order).  The
+    [interp.equivalence] and [interp.fuzz] suites check all of it
+    against the tree-walking oracle. *)
 
 module Ir = Bamboo_ir.Ir
 open Value
@@ -49,14 +47,12 @@ let frame_for (b : body) (ctx : ctx) : cframe =
 (* Call support: argument setters and method invocation, specialized
    at codegen.  [arg_setter] resolves the (source bank, callee slot)
    pair once, so a call site performs no matching at run time; the
-   residual closures are the same bank copies / [as_*] coercions as
-   [Compile.set_arg].  An out-of-range slot (impossible for
-   type-checked programs) falls back to [Compile.set_arg] itself so
-   even the error behavior is the bytecode executor's. *)
+   residual closures are bank copies or the oracle's [as_*] coercions.
+   An out-of-range slot (impossible for type-checked programs) fails
+   when the call executes, not when the whole program is compiled. *)
 
 let arg_setter (cb : body) (slot : int) (a : src) : cframe -> cframe -> unit =
-  if slot >= Array.length cb.b_slots then fun f kf ->
-    Compile.set_arg cb kf.cfi kf.cff kf.cfv slot a f.cfi f.cff f.cfv
+  if slot >= Array.length cb.b_slots then fun _ _ -> invalid_arg "index out of bounds"
   else
     match (a, cb.b_slots.(slot)) with
     | Sint r, LInt d -> fun f kf -> kf.cfi.(d) <- f.cfi.(r)
@@ -91,9 +87,8 @@ let compile_invoke (cc : closure_code) (cid : Ir.class_id) (mid : Ir.method_id)
     en.ce_entry kf
 
 (* ------------------------------------------------------------------ *)
-(* Codegen: one backwards pass per body.  Every arm mirrors the
-   corresponding [Compile.exec] arm exactly — same effects, same
-   charges, same errors — with the dispatch replaced by a captured
+(* Codegen: one backwards pass per body.  Every arm performs its
+   instruction's effects, charges and errors, then calls the captured
    continuation [k].
 
    On top of the per-instruction arms, a peephole fuses the hottest
@@ -227,7 +222,7 @@ let closurify_body (prog : Ir.program) (cc : closure_code) (b : body) : blk =
               let obj = as_obj f.cfv.(o) in
               notify_read f.cfc obj fid;
               f.cfi.(d0) <- as_int obj.o_fields.(fid);
-              let cond = Compile.icmp c f.cfi.(a) f.cfi.(b') in
+              let cond = icmp c f.cfi.(a) f.cfi.(b') in
               f.cfi.(d) <- (if cond then 1 else 0);
               charge f.cfc cy st;
               if cond then k4 f else jt f)
@@ -242,7 +237,7 @@ let closurify_body (prog : Ir.program) (cc : closure_code) (b : body) : blk =
               let obj = as_obj f.cfv.(o) in
               notify_read f.cfc obj fid;
               f.cfi.(d0) <- as_int obj.o_fields.(fid);
-              let cond = Compile.icmp c f.cfi.(a) f.cfi.(b') in
+              let cond = icmp c f.cfi.(a) f.cfi.(b') in
               f.cfi.(d) <- (if cond then 1 else 0);
               charge f.cfc cy st;
               if cond then jt f else k4 f)
@@ -272,7 +267,7 @@ let closurify_body (prog : Ir.program) (cc : closure_code) (b : body) : blk =
           let jt = goto t in
           Some
             (fun f ->
-              let cond = Compile.icmp c f.cfi.(a) f.cfi.(b') in
+              let cond = icmp c f.cfi.(a) f.cfi.(b') in
               f.cfi.(d) <- (if cond then 1 else 0);
               charge f.cfc cy st;
               if cond then k3 f else jt f)
@@ -280,7 +275,7 @@ let closurify_body (prog : Ir.program) (cc : closure_code) (b : body) : blk =
           let jt = goto t in
           Some
             (fun f ->
-              let cond = Compile.icmp c f.cfi.(a) f.cfi.(b') in
+              let cond = icmp c f.cfi.(a) f.cfi.(b') in
               f.cfi.(d) <- (if cond then 1 else 0);
               charge f.cfc cy st;
               if cond then jt f else k3 f)
@@ -288,7 +283,7 @@ let closurify_body (prog : Ir.program) (cc : closure_code) (b : body) : blk =
           let jt = goto t in
           Some
             (fun f ->
-              let cond = Compile.icmp c (fcompare f.cff.(a) f.cff.(b')) 0 in
+              let cond = icmp c (fcompare f.cff.(a) f.cff.(b')) 0 in
               f.cfi.(d) <- (if cond then 1 else 0);
               charge f.cfc cy st;
               if cond then k3 f else jt f)
@@ -296,7 +291,7 @@ let closurify_body (prog : Ir.program) (cc : closure_code) (b : body) : blk =
           let jt = goto t in
           Some
             (fun f ->
-              let cond = Compile.icmp c (fcompare f.cff.(a) f.cff.(b')) 0 in
+              let cond = icmp c (fcompare f.cff.(a) f.cff.(b')) 0 in
               f.cfi.(d) <- (if cond then 1 else 0);
               charge f.cfc cy st;
               if cond then jt f else k3 f)
@@ -321,28 +316,28 @@ let closurify_body (prog : Ir.program) (cc : closure_code) (b : body) : blk =
           let jt = goto t in
           Some
             (fun f ->
-              let cond = Compile.icmp c f.cfi.(a) f.cfi.(b') in
+              let cond = icmp c f.cfi.(a) f.cfi.(b') in
               f.cfi.(d) <- (if cond then 1 else 0);
               if cond then k2 f else jt f)
       | Kicmp (c, d, a, b'), Some (Kbrt (r, t)), _ when r = d ->
           let jt = goto t in
           Some
             (fun f ->
-              let cond = Compile.icmp c f.cfi.(a) f.cfi.(b') in
+              let cond = icmp c f.cfi.(a) f.cfi.(b') in
               f.cfi.(d) <- (if cond then 1 else 0);
               if cond then jt f else k2 f)
       | Kfcmp (c, d, a, b'), Some (Kbrf (r, t)), _ when r = d ->
           let jt = goto t in
           Some
             (fun f ->
-              let cond = Compile.icmp c (fcompare f.cff.(a) f.cff.(b')) 0 in
+              let cond = icmp c (fcompare f.cff.(a) f.cff.(b')) 0 in
               f.cfi.(d) <- (if cond then 1 else 0);
               if cond then k2 f else jt f)
       | Kfcmp (c, d, a, b'), Some (Kbrt (r, t)), _ when r = d ->
           let jt = goto t in
           Some
             (fun f ->
-              let cond = Compile.icmp c (fcompare f.cff.(a) f.cff.(b')) 0 in
+              let cond = icmp c (fcompare f.cff.(a) f.cff.(b')) 0 in
               f.cfi.(d) <- (if cond then 1 else 0);
               if cond then jt f else k2 f)
       (* cost / control pairs: every block exit *)
@@ -413,7 +408,7 @@ let closurify_body (prog : Ir.program) (cc : closure_code) (b : body) : blk =
             (fun f ->
               f.cff.(t) <- c;
               f.cfi.(d) <-
-                (if Compile.icmp cmp (fcompare f.cff.(a) f.cff.(b')) 0 then 1 else 0);
+                (if icmp cmp (fcompare f.cff.(a) f.cff.(b')) 0 then 1 else 0);
               k2 f)
       (* float ALU pairs: adjacent add/sub/mul/div (and moves) fused
          into one closure with two bank writes.  Inner numeric loops
@@ -918,14 +913,14 @@ let closurify_body (prog : Ir.program) (cc : closure_code) (b : body) : blk =
       | Kfcmp (c, d, a, b') ->
           fun f ->
             f.cfi.(d) <-
-              (if Compile.icmp c (fcompare f.cff.(a) f.cff.(b')) 0 then 1 else 0);
+              (if icmp c (fcompare f.cff.(a) f.cff.(b')) 0 then 1 else 0);
             k f
       | Kscmp (c, d, a, b') ->
           fun f ->
             let x = as_str f.cfv.(a) and y = as_str f.cfv.(b') in
             let ctx = f.cfc in
             ctx.cycles <- ctx.cycles + Cost.dyn_str_cmp x y;
-            f.cfi.(d) <- (if Compile.icmp c (compare x y) 0 then 1 else 0);
+            f.cfi.(d) <- (if icmp c (compare x y) 0 then 1 else 0);
             k f
       | Ksconcat (d, a, b') ->
           fun f ->
@@ -1350,10 +1345,12 @@ let closurify (prog : Ir.program) (pcode : program_code) : closure_code =
   cc
 
 (* ------------------------------------------------------------------ *)
-(* Per-program cache, mirroring {!Compile.get}: codegen once, execute
-   on every context (one per core in the parallel backend).  The mutex
-   makes a first-codegen race between domains safe; see the
-   [interp.engines] compile-race regression test. *)
+(* Per-program cache: compile and codegen once, execute on every
+   context (one per core in the parallel backend).  Keyed on physical
+   equality; bounded so long test runs over many programs do not
+   accumulate code.  The mutex makes a first-codegen race between
+   domains safe; see the [interp.engines] compile-race regression
+   test. *)
 
 let cache_lock = Mutex.create ()
 let cache : (Ir.program * closure_code) list ref = ref []
@@ -1364,16 +1361,16 @@ let get (prog : Ir.program) : closure_code =
       match List.find_opt (fun (p, _) -> p == prog) !cache with
       | Some (_, cc) -> cc
       | None ->
-          let cc = closurify prog (Compile.get prog) in
+          let cc = closurify prog (Compile.compile_program prog) in
           let keep = List.filteri (fun i _ -> i < cache_limit - 1) !cache in
           cache := (prog, cc) :: keep;
           cc)
 
 (* ------------------------------------------------------------------ *)
 (* Task invocation: the closure-engine counterpart of
-   [Compile.invoke_task], with identical bookkeeping (created-object
-   drain, output slicing, implicit-exit mapping, and the
-   oracle-visible frame rebuilt from the slot map). *)
+   [Interp.invoke_task_tree], with identical bookkeeping
+   (created-object drain, output slicing, implicit-exit mapping), and
+   the oracle-visible frame rebuilt from the slot map. *)
 
 let invoke_task (ctx : ctx) (cc : closure_code) (task : Ir.taskinfo) (params : obj array)
     ~(tag_binds : (Ir.slot * tag_inst) list) : invocation_result =

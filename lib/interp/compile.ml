@@ -1,10 +1,12 @@
-(** One-pass compiler from IR bodies to {!Bytecode}, and its executor.
+(** One-pass compiler from IR bodies to {!Bytecode}: the front end of
+    the closure engine.
 
-    Compilation happens once per [Ir.program] (see {!get}); execution
-    replaces the tree-walking oracle in {!Interp} for every task and
-    method body.  The contract with the oracle is exact: same results,
-    same output, same error messages, and bit-identical cycle/step
-    accounting (the [interp.equivalence] suite enforces all of it).
+    {!Closure.get} compiles each [Ir.program] once with
+    {!compile_program} and turns every body into closures.  The
+    contract with the tree-walking oracle in {!Interp} is exact: same
+    results, same output, same error messages, and bit-identical
+    cycle/step accounting (the [interp.equivalence] suite enforces all
+    of it).
 
     How the cost model survives compilation: every IR node's constant
     cost and its one fuel step are accumulated into a pending
@@ -26,7 +28,6 @@
     the boxed bank, where its behavior is the oracle's. *)
 
 module Ir = Bamboo_ir.Ir
-open Value
 open Bytecode
 open Ctx
 
@@ -1097,7 +1098,7 @@ let compile_body prog ~in_task ~nslots ~presets (body : Ir.stmt list) : Bytecode
   List.iter (c_stmt em) body;
   flush em;
   (* falling off the end: methods return null, tasks take the implicit
-     exit (the executor maps a plain return to it) *)
+     exit (the engine maps a plain return to it) *)
   emit em Kret_void;
   {
     b_code = Array.sub em.code 0 em.len;
@@ -1142,535 +1143,4 @@ let compile_program (prog : Ir.program) : program_code =
                 ~presets:(method_presets m) m.m_body)
             c.c_methods)
         prog.classes;
-  }
-
-(* ------------------------------------------------------------------ *)
-(* Per-program cache: compile once, execute on every context (the
-   parallel backend creates one context per core for the same
-   program).  Keyed on physical equality; bounded so long test runs
-   over many programs do not accumulate code. *)
-
-let cache_lock = Mutex.create ()
-let cache : (Ir.program * program_code) list ref = ref []
-let cache_limit = 16
-
-let get (prog : Ir.program) : program_code =
-  Mutex.protect cache_lock (fun () ->
-      match List.find_opt (fun (p, _) -> p == prog) !cache with
-      | Some (_, code) -> code
-      | None ->
-          let code = compile_program prog in
-          let keep = List.filteri (fun i _ -> i < cache_limit - 1) !cache in
-          cache := (prog, code) :: keep;
-          code)
-
-(* ------------------------------------------------------------------ *)
-(* The executor *)
-
-let icmp (c : Ir.cmp) (x : int) (y : int) =
-  match c with
-  | Clt -> x < y
-  | Cle -> x <= y
-  | Cgt -> x > y
-  | Cge -> x >= y
-  | Ceq -> x = y
-  | Cne -> x <> y
-
-(** Copy one argument into a callee frame slot, converting between
-    banks with the oracle's [as_*] coercions where needed. *)
-let set_arg (callee : body) ci cf cv slot (a : src) ints flts (vals : value array) =
-  match (a, callee.b_slots.(slot)) with
-  | Sint r, LInt d -> ci.(d) <- ints.(r)
-  | Sbool r, LBool d -> ci.(d) <- ints.(r)
-  | Sflt r, LFlt d -> cf.(d) <- flts.(r)
-  | Sval r, LVal d -> cv.(d) <- vals.(r)
-  | Sint r, LVal d -> cv.(d) <- Vint ints.(r)
-  | Sbool r, LVal d -> cv.(d) <- Vbool (ints.(r) <> 0)
-  | Sflt r, LVal d -> cv.(d) <- Vfloat flts.(r)
-  | Sval r, LInt d -> ci.(d) <- as_int vals.(r)
-  | Sval r, LBool d -> ci.(d) <- (if as_bool vals.(r) then 1 else 0)
-  | Sval r, LFlt d -> cf.(d) <- as_float vals.(r)
-  | Sint _, (LBool _ | LFlt _) | Sbool _, (LInt _ | LFlt _) | Sflt _, (LInt _ | LBool _)
-    ->
-      (* cross-kind argument passing cannot come out of the type
-         checker; mirror the oracle's eventual coercion error *)
-      ignore (as_int Vnull)
-
-let rec exec (ctx : ctx) (pcode : program_code) (b : body) (ints : int array)
-    (flts : float array) (vals : value array) : value =
-  let code = b.b_code in
-  let prog = ctx.prog in
-  let rec go pc : value =
-    match code.(pc) with
-    | Kcost (cy, st) ->
-        ctx.cycles <- ctx.cycles + cy;
-        let s = ctx.steps + st in
-        ctx.steps <- s;
-        if s > ctx.max_steps then raise (Runtime_error fuel_msg);
-        go (pc + 1)
-    | Kjmp t -> go t
-    | Kbrf (r, t) -> if ints.(r) = 0 then go t else go (pc + 1)
-    | Kbrt (r, t) -> if ints.(r) <> 0 then go t else go (pc + 1)
-    | Kret_i r -> Vint ints.(r)
-    | Kret_b r -> Vbool (ints.(r) <> 0)
-    | Kret_f r -> Vfloat flts.(r)
-    | Kret_v r -> vals.(r)
-    | Kret_void -> Vnull
-    | Ktaskexit n -> raise (Taskexit_exc n)
-    | Kesc_return -> raise (Return_exc Vnull)
-    | Kesc_break -> raise Break_exc
-    | Kesc_continue -> raise Continue_exc
-    | Kerror m -> raise (Runtime_error m)
-    | Kmov_i (d, a) ->
-        ints.(d) <- ints.(a);
-        go (pc + 1)
-    | Kmov_f (d, a) ->
-        flts.(d) <- flts.(a);
-        go (pc + 1)
-    | Kmov_v (d, a) ->
-        vals.(d) <- vals.(a);
-        go (pc + 1)
-    | Kconst_i (d, n) ->
-        ints.(d) <- n;
-        go (pc + 1)
-    | Kconst_f (d, f) ->
-        flts.(d) <- f;
-        go (pc + 1)
-    | Kconst_s (d, s) ->
-        vals.(d) <- Vstr s;
-        go (pc + 1)
-    | Kconst_null d ->
-        vals.(d) <- Vnull;
-        go (pc + 1)
-    | Kbox_i (d, a) ->
-        vals.(d) <- Vint ints.(a);
-        go (pc + 1)
-    | Kbox_b (d, a) ->
-        vals.(d) <- Vbool (ints.(a) <> 0);
-        go (pc + 1)
-    | Kbox_f (d, a) ->
-        vals.(d) <- Vfloat flts.(a);
-        go (pc + 1)
-    | Kunbox_i (d, a) ->
-        ints.(d) <- as_int vals.(a);
-        go (pc + 1)
-    | Kunbox_b (d, a) ->
-        ints.(d) <- (if as_bool vals.(a) then 1 else 0);
-        go (pc + 1)
-    | Kunbox_f (d, a) ->
-        flts.(d) <- as_float vals.(a);
-        go (pc + 1)
-    | Kiadd (d, a, b') ->
-        ints.(d) <- ints.(a) + ints.(b');
-        go (pc + 1)
-    | Kisub (d, a, b') ->
-        ints.(d) <- ints.(a) - ints.(b');
-        go (pc + 1)
-    | Kimul (d, a, b') ->
-        ints.(d) <- ints.(a) * ints.(b');
-        go (pc + 1)
-    | Kidiv (d, a, b') ->
-        let dv = ints.(b') in
-        if dv = 0 then raise (Runtime_error "division by zero");
-        ints.(d) <- ints.(a) / dv;
-        go (pc + 1)
-    | Kimod (d, a, b') ->
-        let dv = ints.(b') in
-        if dv = 0 then raise (Runtime_error "modulo by zero");
-        ints.(d) <- ints.(a) mod dv;
-        go (pc + 1)
-    | Kiband (d, a, b') ->
-        ints.(d) <- ints.(a) land ints.(b');
-        go (pc + 1)
-    | Kibor (d, a, b') ->
-        ints.(d) <- ints.(a) lor ints.(b');
-        go (pc + 1)
-    | Kibxor (d, a, b') ->
-        ints.(d) <- ints.(a) lxor ints.(b');
-        go (pc + 1)
-    | Kishl (d, a, b') ->
-        ints.(d) <- ints.(a) lsl ints.(b');
-        go (pc + 1)
-    | Kishr (d, a, b') ->
-        ints.(d) <- ints.(a) asr ints.(b');
-        go (pc + 1)
-    | Kineg (d, a) ->
-        ints.(d) <- -ints.(a);
-        go (pc + 1)
-    | Kbnot (d, a) ->
-        ints.(d) <- (if ints.(a) = 0 then 1 else 0);
-        go (pc + 1)
-    | Kicmp (c, d, a, b') ->
-        ints.(d) <- (if icmp c ints.(a) ints.(b') then 1 else 0);
-        go (pc + 1)
-    | Kfadd (d, a, b') ->
-        flts.(d) <- flts.(a) +. flts.(b');
-        go (pc + 1)
-    | Kfsub (d, a, b') ->
-        flts.(d) <- flts.(a) -. flts.(b');
-        go (pc + 1)
-    | Kfmul (d, a, b') ->
-        flts.(d) <- flts.(a) *. flts.(b');
-        go (pc + 1)
-    | Kfdiv (d, a, b') ->
-        flts.(d) <- flts.(a) /. flts.(b');
-        go (pc + 1)
-    | Kfneg (d, a) ->
-        flts.(d) <- -.flts.(a);
-        go (pc + 1)
-    | Kfcmp (c, d, a, b') ->
-        ints.(d) <- (if icmp c (fcompare flts.(a) flts.(b')) 0 then 1 else 0);
-        go (pc + 1)
-    | Kscmp (c, d, a, b') ->
-        let x = as_str vals.(a) and y = as_str vals.(b') in
-        ctx.cycles <- ctx.cycles + Cost.dyn_str_cmp x y;
-        ints.(d) <- (if icmp c (compare x y) 0 then 1 else 0);
-        go (pc + 1)
-    | Ksconcat (d, a, b') ->
-        let x = as_str vals.(a) and y = as_str vals.(b') in
-        ctx.cycles <- ctx.cycles + Cost.dyn_str_concat x y;
-        vals.(d) <- Vstr (x ^ y);
-        go (pc + 1)
-    | Krcmp (eq, d, a, b') ->
-        ints.(d) <- (if equal_value vals.(a) vals.(b') = eq then 1 else 0);
-        go (pc + 1)
-    | Ki2f (d, a) ->
-        flts.(d) <- float_of_int ints.(a);
-        go (pc + 1)
-    | Kf2i (d, a) ->
-        ints.(d) <- f2i flts.(a);
-        go (pc + 1)
-    | Kcheck_obj r ->
-        ignore (as_obj vals.(r));
-        go (pc + 1)
-    | Kcheck_arr r ->
-        ignore (as_arr vals.(r));
-        go (pc + 1)
-    | Kgetf_i (d, o, f) ->
-        let obj = as_obj vals.(o) in
-        notify_read ctx obj f;
-        ints.(d) <- as_int obj.o_fields.(f);
-        go (pc + 1)
-    | Kgetf_b (d, o, f) ->
-        let obj = as_obj vals.(o) in
-        notify_read ctx obj f;
-        ints.(d) <- (if as_bool obj.o_fields.(f) then 1 else 0);
-        go (pc + 1)
-    | Kgetf_f (d, o, f) ->
-        let obj = as_obj vals.(o) in
-        notify_read ctx obj f;
-        flts.(d) <- as_float obj.o_fields.(f);
-        go (pc + 1)
-    | Kgetf_v (d, o, f) ->
-        let obj = as_obj vals.(o) in
-        notify_read ctx obj f;
-        vals.(d) <- obj.o_fields.(f);
-        go (pc + 1)
-    | Ksetf_i (o, f, s) ->
-        let obj = as_obj vals.(o) in
-        notify_write ctx obj f;
-        obj.o_fields.(f) <- Vint ints.(s);
-        go (pc + 1)
-    | Ksetf_b (o, f, s) ->
-        let obj = as_obj vals.(o) in
-        notify_write ctx obj f;
-        obj.o_fields.(f) <- Vbool (ints.(s) <> 0);
-        go (pc + 1)
-    | Ksetf_f (o, f, s) ->
-        let obj = as_obj vals.(o) in
-        notify_write ctx obj f;
-        obj.o_fields.(f) <- Vfloat flts.(s);
-        go (pc + 1)
-    | Ksetf_v (o, f, s) ->
-        let obj = as_obj vals.(o) in
-        notify_write ctx obj f;
-        obj.o_fields.(f) <- vals.(s);
-        go (pc + 1)
-    | Kload_i (d, a, i) ->
-        let arr = as_arr vals.(a) in
-        let idx = ints.(i) in
-        ctx.cycles <- ctx.cycles + Cost.array_access + ctx.bounds_cost;
-        let n = arr_length arr in
-        if idx < 0 || idx >= n then bounds_error idx n;
-        ints.(d) <-
-          (match arr with
-          | Iarr a -> a.(idx)
-          | Farr a -> as_int (Vfloat a.(idx))
-          | Oarr a -> as_int a.(idx));
-        go (pc + 1)
-    | Kload_b (d, a, i) ->
-        let arr = as_arr vals.(a) in
-        let idx = ints.(i) in
-        ctx.cycles <- ctx.cycles + Cost.array_access + ctx.bounds_cost;
-        let n = arr_length arr in
-        if idx < 0 || idx >= n then bounds_error idx n;
-        ints.(d) <-
-          (match arr with
-          | Iarr a -> if as_bool (Vint a.(idx)) then 1 else 0
-          | Farr a -> if as_bool (Vfloat a.(idx)) then 1 else 0
-          | Oarr a -> if as_bool a.(idx) then 1 else 0);
-        go (pc + 1)
-    | Kload_f (d, a, i) ->
-        let arr = as_arr vals.(a) in
-        let idx = ints.(i) in
-        ctx.cycles <- ctx.cycles + Cost.array_access + ctx.bounds_cost;
-        let n = arr_length arr in
-        if idx < 0 || idx >= n then bounds_error idx n;
-        flts.(d) <-
-          (match arr with
-          | Farr a -> a.(idx)
-          | Iarr a -> as_float (Vint a.(idx))
-          | Oarr a -> as_float a.(idx));
-        go (pc + 1)
-    | Kload_v (d, a, i) ->
-        let arr = as_arr vals.(a) in
-        let idx = ints.(i) in
-        ctx.cycles <- ctx.cycles + Cost.array_access + ctx.bounds_cost;
-        let n = arr_length arr in
-        if idx < 0 || idx >= n then bounds_error idx n;
-        vals.(d) <-
-          (match arr with
-          | Iarr a -> Vint a.(idx)
-          | Farr a -> Vfloat a.(idx)
-          | Oarr a -> a.(idx));
-        go (pc + 1)
-    | Kstore_i (a, i, s) ->
-        let arr = as_arr vals.(a) in
-        let idx = ints.(i) in
-        ctx.cycles <- ctx.cycles + Cost.array_access + ctx.bounds_cost;
-        let n = arr_length arr in
-        if idx < 0 || idx >= n then bounds_error idx n;
-        (match arr with
-        | Iarr a -> a.(idx) <- ints.(s)
-        | Farr a -> a.(idx) <- as_float (Vint ints.(s))
-        | Oarr a -> a.(idx) <- Vint ints.(s));
-        go (pc + 1)
-    | Kstore_b (a, i, s) ->
-        let arr = as_arr vals.(a) in
-        let idx = ints.(i) in
-        ctx.cycles <- ctx.cycles + Cost.array_access + ctx.bounds_cost;
-        let n = arr_length arr in
-        if idx < 0 || idx >= n then bounds_error idx n;
-        (match arr with
-        | Iarr a -> a.(idx) <- as_int (Vbool (ints.(s) <> 0))
-        | Farr a -> a.(idx) <- as_float (Vbool (ints.(s) <> 0))
-        | Oarr a -> a.(idx) <- Vbool (ints.(s) <> 0));
-        go (pc + 1)
-    | Kstore_f (a, i, s) ->
-        let arr = as_arr vals.(a) in
-        let idx = ints.(i) in
-        ctx.cycles <- ctx.cycles + Cost.array_access + ctx.bounds_cost;
-        let n = arr_length arr in
-        if idx < 0 || idx >= n then bounds_error idx n;
-        (match arr with
-        | Farr a -> a.(idx) <- flts.(s)
-        | Iarr a -> a.(idx) <- as_int (Vfloat flts.(s))
-        | Oarr a -> a.(idx) <- Vfloat flts.(s));
-        go (pc + 1)
-    | Kstore_v (a, i, s) ->
-        let arr = as_arr vals.(a) in
-        let idx = ints.(i) in
-        ctx.cycles <- ctx.cycles + Cost.array_access + ctx.bounds_cost;
-        let n = arr_length arr in
-        if idx < 0 || idx >= n then bounds_error idx n;
-        let v = vals.(s) in
-        (match arr with
-        | Iarr a -> a.(idx) <- as_int v
-        | Farr a -> a.(idx) <- as_float v
-        | Oarr a -> a.(idx) <- v);
-        go (pc + 1)
-    | Klen (d, a) ->
-        ints.(d) <- arr_length (as_arr vals.(a));
-        go (pc + 1)
-    | Kcall c ->
-        let recv = as_obj vals.(c.k_recv) in
-        let callee = pcode.p_methods.(c.k_cid).(c.k_mid) in
-        let ret = invoke_method ctx pcode callee recv c.k_args ints flts vals in
-        (match c.k_dst with
-        | Dnone -> ()
-        | Dint d -> ints.(d) <- as_int ret
-        | Dbool d -> ints.(d) <- (if as_bool ret then 1 else 0)
-        | Dflt d -> flts.(d) <- as_float ret
-        | Dval d -> vals.(d) <- ret);
-        go (pc + 1)
-    | Knew n ->
-        let site = prog.sites.(n.k_site) in
-        let cls = prog.classes.(site.s_class) in
-        let o = make_object ctx n.k_site in
-        Array.iter
-          (fun r ->
-            match vals.(r) with
-            | Vtag t -> bind_tag o t
-            | _ -> raise (Runtime_error "allocation tag slot does not hold a tag"))
-          n.k_tags;
-        (match cls.c_ctor with
-        | Some mid ->
-            ignore
-              (invoke_method ctx pcode
-                 pcode.p_methods.(site.s_class).(mid)
-                 o n.k_nargs ints flts vals)
-        | None -> ());
-        ctx.created <- o :: ctx.created;
-        if ctx.retain then ctx.objects <- o :: ctx.objects;
-        vals.(n.k_nd) <- Vobj o;
-        go (pc + 1)
-    | Knewarr (d, elem, dims) ->
-        let ds = Array.to_list (Array.map (fun r -> ints.(r)) dims) in
-        vals.(d) <- alloc_array ctx elem ds;
-        go (pc + 1)
-    | Knewtag (d, ty) ->
-        vals.(d) <- Vtag (fresh_tag ctx ty);
-        go (pc + 1)
-    | Kmath1 (m, d, a) ->
-        flts.(d) <-
-          (match m with
-          | MSin -> sin flts.(a)
-          | MCos -> cos flts.(a)
-          | MTan -> tan flts.(a)
-          | MAtan -> atan flts.(a)
-          | MSqrt -> sqrt flts.(a)
-          | MLog -> log flts.(a)
-          | MExp -> exp flts.(a)
-          | MFloor -> floor flts.(a)
-          | MCeil -> ceil flts.(a)
-          | MAbs -> abs_float flts.(a));
-        go (pc + 1)
-    | Kmath2 (m, d, a, b') ->
-        flts.(d) <-
-          (match m with
-          | MPow -> flts.(a) ** flts.(b')
-          | MMin -> fmin flts.(a) flts.(b')
-          | MMax -> fmax flts.(a) flts.(b'));
-        go (pc + 1)
-    | Kiabs (d, a) ->
-        ints.(d) <- abs ints.(a);
-        go (pc + 1)
-    | Kimin (d, a, b') ->
-        ints.(d) <- min ints.(a) ints.(b');
-        go (pc + 1)
-    | Kimax (d, a, b') ->
-        ints.(d) <- max ints.(a) ints.(b');
-        go (pc + 1)
-    | Kstrlen (d, s) ->
-        ints.(d) <- String.length (as_str vals.(s));
-        go (pc + 1)
-    | Kcharat (d, s, i) ->
-        ints.(d) <- str_char_at (as_str vals.(s)) ints.(i);
-        go (pc + 1)
-    | Ksubstring (d, s, i, j) ->
-        let str = as_str vals.(s) in
-        let i = ints.(i) and j = ints.(j) in
-        ctx.cycles <- ctx.cycles + Cost.dyn_str_substring i j;
-        vals.(d) <- Vstr (str_substring str i j);
-        go (pc + 1)
-    | Kstreq (d, a, b') ->
-        let x = as_str vals.(a) and y = as_str vals.(b') in
-        ctx.cycles <- ctx.cycles + Cost.dyn_str_cmp x y;
-        ints.(d) <- (if String.equal x y then 1 else 0);
-        go (pc + 1)
-    | Kindexof (d, s, pat, from) ->
-        let str = as_str vals.(s) and p = as_str vals.(pat) in
-        ctx.cycles <- ctx.cycles + Cost.dyn_str_scan str;
-        ints.(d) <- str_index_of str p ints.(from);
-        go (pc + 1)
-    | Kstrhash (d, s) ->
-        let str = as_str vals.(s) in
-        ctx.cycles <- ctx.cycles + Cost.dyn_str_scan str;
-        ints.(d) <- str_hash str;
-        go (pc + 1)
-    | Kitos (d, a) ->
-        vals.(d) <- Vstr (string_of_int ints.(a));
-        go (pc + 1)
-    | Kdtos (d, a) ->
-        vals.(d) <- Vstr (format_double flts.(a));
-        go (pc + 1)
-    | Kparsei (d, a) ->
-        ints.(d) <- parse_int (as_str vals.(a));
-        go (pc + 1)
-    | Kparsed (d, a) ->
-        flts.(d) <- parse_double (as_str vals.(a));
-        go (pc + 1)
-    | Kprints r ->
-        print_line ctx (as_str vals.(r));
-        go (pc + 1)
-    | Kprinti r ->
-        print_line ctx (string_of_int ints.(r));
-        go (pc + 1)
-    | Kprintd r ->
-        print_line ctx (print_double flts.(r));
-        go (pc + 1)
-    | Krngnew (d, s) ->
-        vals.(d) <- Vrng (rng_create ints.(s));
-        go (pc + 1)
-    | Krngint (d, r, b') ->
-        ints.(d) <- rng_next_int (as_rng vals.(r)) ints.(b');
-        go (pc + 1)
-    | Krngdouble (d, r) ->
-        flts.(d) <- rng_next_double (as_rng vals.(r));
-        go (pc + 1)
-    | Krnggauss (d, r) ->
-        flts.(d) <- rng_next_gaussian (as_rng vals.(r));
-        go (pc + 1)
-  in
-  go 0
-
-and invoke_method ctx pcode (callee : body) recv (args : src array) ints flts vals :
-    value =
-  let ci = Array.make callee.b_nints 0 in
-  let cf = Array.make callee.b_nflts 0.0 in
-  let cv = Array.make callee.b_nvals Vnull in
-  (match callee.b_slots.(0) with LVal d -> cv.(d) <- Vobj recv | _ -> assert false);
-  Array.iteri (fun i a -> set_arg callee ci cf cv (i + 1) a ints flts vals) args;
-  exec ctx pcode callee ci cf cv
-
-(* ------------------------------------------------------------------ *)
-(* Task invocation (the compiled counterpart of the oracle's) *)
-
-let invoke_task ctx (pcode : program_code) (task : Ir.taskinfo) (params : obj array)
-    ~(tag_binds : (Ir.slot * tag_inst) list) : invocation_result =
-  if Array.length params <> Array.length task.t_params then
-    invalid_arg "invoke_task: parameter count mismatch";
-  let b = pcode.p_tasks.(task.t_id) in
-  let ints = Array.make b.b_nints 0 in
-  let flts = Array.make b.b_nflts 0.0 in
-  let vals = Array.make b.b_nvals Vnull in
-  Array.iteri
-    (fun i o ->
-      match b.b_slots.(i) with LVal d -> vals.(d) <- Vobj o | _ -> assert false)
-    params;
-  List.iter
-    (fun (slot, t) ->
-      match b.b_slots.(slot) with LVal d -> vals.(d) <- Vtag t | _ -> assert false)
-    tag_binds;
-  let saved_created = ctx.created in
-  ctx.created <- [];
-  let out_start = Buffer.length ctx.out in
-  let start = ctx.cycles in
-  let exit_id =
-    try
-      ignore (exec ctx pcode b ints flts vals);
-      Array.length task.t_exits - 1 (* implicit exit *)
-    with Taskexit_exc id -> id
-  in
-  let created = List.rev ctx.created in
-  ctx.created <- saved_created;
-  let output = Buffer.sub ctx.out out_start (Buffer.length ctx.out - out_start) in
-  (* Rebuild the oracle-visible frame; [apply_exit] reads tag slots
-     out of it.  (A never-assigned unboxed slot reads back as its bank
-     default rather than the oracle's [Vnull]; nothing observes
-     non-tag slots.) *)
-  let frame =
-    Array.init task.t_nslots (fun s ->
-        match b.b_slots.(s) with
-        | LInt r -> Vint ints.(r)
-        | LBool r -> Vbool (ints.(r) <> 0)
-        | LFlt r -> Vfloat flts.(r)
-        | LVal r -> vals.(r))
-  in
-  {
-    tr_exit = exit_id;
-    tr_cycles = ctx.cycles - start;
-    tr_created = created;
-    tr_frame = frame;
-    tr_output = output;
   }

@@ -33,8 +33,8 @@ let cast = 2
 
 (* ------------------------------------------------------------------ *)
 (* Per-operation cost tables shared by the tree-walking oracle and the
-   bytecode compiler/executor.  Both engines must read the *same*
-   table: the compiler pre-aggregates these constants per basic block,
+   closure engine's bytecode compiler.  Both engines must read the
+   *same* table: the compiler pre-aggregates these constants per basic block,
    the tree-walker charges them per node, and the equivalence suite
    asserts the totals are bit-identical.  Operations whose cost
    depends on runtime data (string lengths, array allocation extents,

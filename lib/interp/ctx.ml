@@ -1,7 +1,7 @@
 (** Shared execution context for the two interpreter engines.
 
-    Both the tree-walking oracle ({!Interp}) and the bytecode executor
-    ({!Compile}) run over this context: one cycle counter, one fuel
+    Both the tree-walking oracle ({!Interp}) and the closure engine
+    ({!Closure}) run over this context: one cycle counter, one fuel
     guard, one id allocator, one output buffer, and one set of
     operation-semantics helpers (RNG, allocation, string scans).
     Keeping every shared primitive here — and charging every cost
@@ -59,14 +59,13 @@ type ctx = {
                                         still charged identically *)
 }
 
-(** What a context executes with.  The three representations are the
-    three engines: no code (tree-walking oracle), bytecode (dispatch
-    loop in {!Compile}), or closure code (direct-threaded closures in
-    {!Closure}).  The closure types live here, next to [ctx], because
-    a closure frame carries its context. *)
+(** What a context executes with.  The two representations are the
+    two engines: no code (tree-walking oracle) or closure code
+    (direct-threaded closures in {!Closure}).  The closure types live
+    here, next to [ctx], because a closure frame carries its
+    context. *)
 and engine_code =
   | Etree
-  | Ebyte of Bytecode.program_code
   | Eclos of closure_code
 
 (** One closure-compiled [Ir.program]: every task body and every
@@ -127,17 +126,13 @@ let charge ctx n = ctx.cycles <- ctx.cycles + n
 
 let fuel_msg = "interpreter fuel exhausted"
 
-(** The single cost/fuel accounting point: [n] interpreter steps plus
-    [cycles] cycles.  The tree-walker calls it once per IR node; the
-    bytecode executor once per [Kcost] block aggregate. *)
-let tick ctx ~cycles ~steps =
-  ctx.cycles <- ctx.cycles + cycles;
-  let s = ctx.steps + steps in
+(** One IR node visited: the tree walker's per-node fuel step.  The
+    closure engine makes the same check once per [Kcost] block
+    aggregate. *)
+let step ctx =
+  let s = ctx.steps + 1 in
   ctx.steps <- s;
   if s > ctx.max_steps then raise (Runtime_error fuel_msg)
-
-(** One IR node visited: the tree-walker's per-node fuel bump. *)
-let step ctx = tick ctx ~cycles:0 ~steps:1
 
 let fresh_oid ctx =
   let id = ctx.next_oid in
@@ -220,6 +215,13 @@ let fmax (a : float) (b : float) = max a b
 (** Three-way float comparison used by [FCmp] in both engines —
     [compare] at float type, so NaN ordering is identical. *)
 let fcompare (x : float) (y : float) = compare x y
+
+(** An IR comparison on ints: [ICmp] directly, and [FCmp]/[SCmp]/[BCmp]
+    on the three-way result of their [compare]. *)
+let icmp (c : Ir.cmp) (x : int) (y : int) =
+  match c with
+  | Clt -> x < y | Cle -> x <= y | Cgt -> x > y | Cge -> x >= y
+  | Ceq -> x = y | Cne -> x <> y
 
 (** [F2I] cast: NaN collapses to 0, like the paper platform's
     software float-to-int. *)

@@ -1,26 +1,20 @@
 (** IR interpreter with cycle accounting.
 
-    Three engines execute Bamboo task and method bodies over the
-    shared {!Ctx} context: the direct-threaded closure engine in
-    {!Closure} (the default), the bytecode executor in {!Compile}, and
-    the tree-walking oracle defined here — selected by [--engine
-    tree|bytecode|closure] / [BAMBOO_INTERP_ENGINE].  All charge the
-    {!Cost} model through the same tables and helpers, so their cycle
-    and fuel totals are bit-identical (the [interp.equivalence] suite
-    enforces it).  The runtime layers (profiling, single-core and
-    many-core execution) drive any engine through {!invoke_task},
-    {!executor} and {!apply_exit}. *)
+    Two engines execute Bamboo task and method bodies over the shared
+    {!Ctx} context: the direct-threaded closure engine in {!Closure}
+    (the default) and the tree-walking oracle defined here, selected
+    by [--engine tree|closure].  Both charge the {!Cost} model through
+    the same tables and helpers, so their cycle and fuel totals are
+    bit-identical (the [interp.equivalence] suite enforces it).  The
+    runtime layers (profiling, single-core and many-core execution)
+    drive either engine through {!invoke_task}, {!executor} and
+    {!apply_exit}. *)
 
 open Value
 include Ctx
 
 (* ------------------------------------------------------------------ *)
 (* The tree-walking oracle *)
-
-let icmp (c : Ir.cmp) x y =
-  match c with
-  | Clt -> x < y | Cle -> x <= y | Cgt -> x > y | Cge -> x >= y
-  | Ceq -> x = y | Cne -> x <> y
 
 let rec eval ctx (frame : value array) (e : Ir.expr) : value =
   step ctx;
@@ -305,66 +299,29 @@ let invoke_task_tree ctx (task : Ir.taskinfo) (params : obj array)
 (* ------------------------------------------------------------------ *)
 (* Engine selection *)
 
-(** The three interpreter engines, slowest to fastest: the
-    tree-walking oracle above, the {!Compile} bytecode dispatch loop,
-    and the {!Closure} direct-threaded closure engine.  All three are
-    bit-identical on cycles, fuel, output and errors; the faster two
-    are verified against the tree walker by [interp.equivalence] and
-    [interp.fuzz]. *)
-type engine = Tree | Bytecode | Closure
+(** The two interpreter engines: the tree-walking oracle above and the
+    {!Closure} direct-threaded closure engine.  They are bit-identical
+    on cycles, fuel, output and errors; [interp.equivalence] and
+    [interp.fuzz] check the closure engine against the tree walker. *)
+type engine = Tree | Closure
 
-let engine_name = function
-  | Tree -> "tree"
-  | Bytecode -> "bytecode"
-  | Closure -> "closure"
-
-let engine_of_string s =
-  match String.lowercase_ascii s with
-  | "tree" | "reference" -> Some Tree
-  | "bytecode" | "byte" -> Some Bytecode
-  | "closure" -> Some Closure
-  | _ -> None
-
-let default_engine = Closure
-
-(** The engine every subsequently created context executes with.
-    Seeded from [BAMBOO_INTERP_ENGINE] (tree|bytecode|closure),
-    falling back to the deprecated [BAMBOO_INTERP_REFERENCE=1] alias
-    for the tree walker; overridable by [--engine] (and the deprecated
-    [--interp-reference]). *)
-let engine =
-  ref
-    (match Sys.getenv_opt "BAMBOO_INTERP_ENGINE" with
-    | Some s -> (
-        match engine_of_string s with
-        | Some e -> e
-        | None ->
-            Printf.eprintf "bamboo: ignoring unknown BAMBOO_INTERP_ENGINE=%S\n%!" s;
-            default_engine)
-    | None -> (
-        match Sys.getenv_opt "BAMBOO_INTERP_REFERENCE" with
-        | Some ("1" | "true" | "yes") -> Tree
-        | Some _ | None -> default_engine))
+(** The engine every subsequently created context executes with: the
+    closure engine unless [--engine tree] (or an equivalence test)
+    selects the tree walker. *)
+let engine = ref Closure
 
 (** Compile [prog] for the selected engine without creating a context.
     The parallel backend calls this on the main domain before spawning
-    workers so no domain ever races the first compile (the caches in
-    {!Compile}/{!Closure} are mutex-guarded anyway; this keeps the
-    compile cost off the timed parallel section). *)
-let precompile prog =
-  match !engine with
-  | Tree -> ()
-  | Bytecode -> ignore (Compile.get prog)
-  | Closure -> ignore (Closure.get prog)
+    workers so no domain ever races the first compile (the cache in
+    {!Closure} is mutex-guarded anyway; this keeps the compile cost
+    off the timed parallel section). *)
+let precompile prog = match !engine with Tree -> () | Closure -> ignore (Closure.get prog)
 
 (** Build an interpreter context and attach the selected engine's
-    compiled code, shared via the per-program caches. *)
+    compiled code, shared via the per-program cache. *)
 let create ?bounds_check ?max_steps ?id_base ?id_stride prog =
   let ctx = create ?bounds_check ?max_steps ?id_base ?id_stride prog in
-  (match !engine with
-  | Tree -> ()
-  | Bytecode -> ctx.code <- Ebyte (Compile.get prog)
-  | Closure -> ctx.code <- Eclos (Closure.get prog));
+  (match !engine with Tree -> () | Closure -> ctx.code <- Eclos (Closure.get prog));
   ctx
 
 (** The invocation engine bound to [ctx], resolved from the code
@@ -376,17 +333,13 @@ let executor ctx :
     =
   match ctx.code with
   | Eclos cc -> fun task params ~tag_binds -> Closure.invoke_task ctx cc task params ~tag_binds
-  | Ebyte pcode -> fun task params ~tag_binds -> Compile.invoke_task ctx pcode task params ~tag_binds
   | Etree -> fun task params ~tag_binds -> invoke_task_tree ctx task params ~tag_binds
 
 (** Run one task invocation on the given parameter objects through
     [ctx]'s engine. *)
 let invoke_task ctx (task : Ir.taskinfo) (params : obj array)
     ~(tag_binds : (Ir.slot * tag_inst) list) : invocation_result =
-  match ctx.code with
-  | Eclos cc -> Closure.invoke_task ctx cc task params ~tag_binds
-  | Ebyte pcode -> Compile.invoke_task ctx pcode task params ~tag_binds
-  | Etree -> invoke_task_tree ctx task params ~tag_binds
+  executor ctx task params ~tag_binds
 
 (** Apply a task exit's flag and tag actions to the parameter objects.
     Returns the parameters whose flag word changed (their indices),

@@ -107,7 +107,7 @@ type state = {
     obj array ->
     tag_binds:(Ir.slot * tag_inst) list ->
     Interp.invocation_result;
-  (* [ictx]'s engine (bytecode executor or tree-walking oracle),
+  (* [ictx]'s engine (closure engine or tree-walking oracle),
      resolved once at state construction *)
   machine : Machine.t;
   cores : core array;

@@ -284,8 +284,14 @@ let run ?lock_groups ?steal_safe ~(config : config) (prog : Ir.program) (layout 
   let drops = ref 0 in
   let class_drops = Array.make (max 1 nclasses) 0 in
   let watermark = ref 0 in
+  let verified = ref 0 in
   let stall_ns = ref 0L in
-  let inflight () = !injected - Atomic.get completed in
+  (* Under sv_check a request holds the window until it is verified,
+     not merely completed: the next injection would write into the
+     contexts its check reads and then clears. *)
+  let inflight () =
+    !injected - if config.sv_check then !verified else Atomic.get completed
+  in
   let occupancy () = Mailbox.Bounded.length q + Queue.length backlog in
   (* Advance over completed/shed requests in order; under sv_check the
      in-order walk is also where each request's digest is verified
@@ -296,10 +302,18 @@ let run ?lock_groups ?steal_safe ~(config : config) (prog : Ir.program) (layout 
     while !continue && !watermark < n do
       let w = !watermark in
       if dropped.(w) then incr watermark
-      else if done_mark.(w) <> 0 then begin
-        if config.sv_check then check_request w;
-        incr watermark
+      else if config.sv_check then begin
+        (* [w] is the one request in flight, and it has completed once
+           [completed] passes [verified]: reading the atomic orders the
+           workers' writes to their contexts before [check_request]. *)
+        if Atomic.get completed > !verified then begin
+          check_request w;
+          incr verified;
+          incr watermark
+        end
+        else continue := false
       end
+      else if done_mark.(w) <> 0 then incr watermark
       else continue := false
     done;
     if !watermark > w0 then Exec.advance_trim ses !watermark

@@ -32,11 +32,10 @@
       the bound, which lets DSA prune layouts that provably cannot
       beat the incumbent.
 
-    Results are bit-identical to {!Schedsim_reference} (the original
-    implementation, kept as the oracle); the equivalence suite diffs
-    the two event by event on every benchmark.  Set {!use_reference}
-    (CLI [--sim-reference], or the [BAMBOO_SIM_REFERENCE] environment
-    variable) to run the reference path instead. *)
+    Results are bit-identical to the original list/Hashtbl
+    implementation, kept as a test oracle ([test/schedsim_reference.ml]);
+    the [sim.equivalence] suite diffs the two event by event on every
+    benchmark. *)
 
 module Cost = Bamboo_interp.Cost
 module Machine = Bamboo_machine.Machine
@@ -281,13 +280,13 @@ let dispatch st ~from_core ~producer (tk : token) now =
 (* ------------------------------------------------------------------ *)
 (* Markov model: exit choice, duration, allocations *)
 
-(** Count-matching exit choice (§4.4); see {!Schedsim_reference.choose_exit}
-    for the full rationale.  The group probability, member shares, and
-    per-task fallbacks are precomputed by {!Densify}; the per-task
-    invocation and rare-group counters are maintained incrementally,
-    so each call is O(1) when no rare exit is due and O(exits) when
-    one is — against the reference's O(exits) probability recompute
-    per call. *)
+(** Count-matching exit choice (§4.4); see [choose_exit] in the
+    reference simulator for the full rationale.  The group
+    probability, member shares, and per-task fallbacks are
+    precomputed by {!Densify}; the per-task invocation and rare-group
+    counters are maintained incrementally, so each call is O(1) when
+    no rare exit is due and O(exits) when one is — against the
+    reference's O(exits) probability recompute per call. *)
 let choose_exit st tid =
   let dt = st.d.Densify.d_tasks.(tid) in
   let exits = dt.Densify.dt_exits in
@@ -562,23 +561,10 @@ let simulate_prepared ?cycle_bound ?(max_invocations = 500_000) (d : prepared)
     s_sim_events = st.sim_events;
   }
 
-let simulate_reference = Schedsim_reference.simulate
-
-(** When set, {!simulate} runs the reference (list/Hashtbl) simulator
-    instead of the dense fast path — the [--sim-reference] escape
-    hatch.  Initialized from the [BAMBOO_SIM_REFERENCE] environment
-    variable ("" and "0" mean off). *)
-let use_reference =
-  ref
-    (match Sys.getenv_opt "BAMBOO_SIM_REFERENCE" with
-    | None | Some "" | Some "0" -> false
-    | Some _ -> true)
-
 (** Estimate the execution of [prog] under [layout] using [profile]'s
     Markov model.  One-shot convenience around {!prepare} +
     {!simulate_prepared}; callers scoring many layouts (the
     evaluation engine) should prepare once and reuse the tables. *)
 let simulate ?cycle_bound ?max_invocations (prog : Ir.program) (profile : Profile.t)
     (layout : Layout.t) : result =
-  if !use_reference then simulate_reference ?cycle_bound ?max_invocations prog profile layout
-  else simulate_prepared ?cycle_bound ?max_invocations (prepare prog profile) layout
+  simulate_prepared ?cycle_bound ?max_invocations (prepare prog profile) layout

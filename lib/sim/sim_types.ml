@@ -1,10 +1,11 @@
 (** Types shared by the two scheduling-simulator implementations.
 
-    {!Schedsim} (the dense fast path) and {!Schedsim_reference} (the
-    original list/Hashtbl implementation, kept as the equivalence
-    oracle) must produce bit-identical {!result} values, so the whole
-    observable surface — tokens, entries, trace events, outcome — is
-    defined once here and re-exported through {!Schedsim}. *)
+    {!Schedsim} (the dense fast path) and the reference simulator (the
+    original list/Hashtbl implementation, kept in test support as the
+    equivalence oracle) must produce bit-identical {!result} values,
+    so the whole observable surface — tokens, entries, trace events,
+    outcome — is defined once here and re-exported through
+    {!Schedsim}. *)
 
 module Ir = Bamboo_ir.Ir
 

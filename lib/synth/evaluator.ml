@@ -82,8 +82,6 @@ let c_events = 3 (* discrete events simulated, total *)
 let n_counters = 4
 
 type t = {
-  prog : Ir.program;
-  profile : Profile.t;
   prepared : Schedsim.prepared;
   max_invocations : int;
   pool : Pool.t;
@@ -100,8 +98,6 @@ let create ?(jobs = 1) ?pool ?shards ?(max_invocations = 500_000) (prog : Ir.pro
      so concurrent inserts rarely collide on a shard. *)
   let shards = match shards with Some s -> s | None -> max 16 (4 * Pool.jobs pool) in
   {
-    prog;
-    profile;
     prepared = Schedsim.prepare prog profile;
     max_invocations;
     pool;
@@ -129,12 +125,8 @@ let with_evaluator ?jobs ?pool ?shards ?max_invocations prog profile f =
    are deterministic, so they memoize like any result. *)
 let simulate_uncached t cycle_bound layout : cached * int =
   match
-    (if !Schedsim.use_reference then
-       Schedsim.simulate_reference ?cycle_bound ~max_invocations:t.max_invocations t.prog
-         t.profile layout
-     else
-       Schedsim.simulate_prepared ?cycle_bound ~max_invocations:t.max_invocations t.prepared
-         layout)
+    Schedsim.simulate_prepared ?cycle_bound ~max_invocations:t.max_invocations t.prepared
+      layout
   with
   | r -> (
       match r.Schedsim.s_status with
@@ -273,8 +265,7 @@ let result t layout : direction option =
   if computed then begin
     Sharded.bump t.cache key c_evaluated 1;
     Sharded.bump t.cache key c_events !events
-  end
-  else Sharded.bump t.cache key c_hits 1;
+  end;
   match c with
   | Full d -> Some d
   | Overrun -> None

@@ -1,18 +1,16 @@
-(** Reference scheduling simulator: the original list/Hashtbl
-    implementation of §4.4, kept verbatim as the equivalence oracle
-    for {!Schedsim}'s dense fast path.
+(** Test oracle: the reference scheduling simulator, the original
+    list/Hashtbl implementation of §4.4, kept verbatim as the
+    equivalence oracle for [Schedsim]'s dense fast path.
 
-    The two implementations must produce bit-identical {!Sim_types.result}
-    values for the same inputs; the test suite diffs them event by
-    event on every benchmark.  Select this path at runtime with
-    [Schedsim.use_reference] (the [--sim-reference] CLI flag or the
-    [BAMBOO_SIM_REFERENCE] environment variable).
+    The two implementations must produce bit-identical
+    [Sim_types.result] values for the same inputs; the [sim.equivalence]
+    suite diffs them event by event on every benchmark.
 
     Per-event cost here is dominated by the [entry list ref] parameter
     sets ([@ [e]] appends, [List.filter] sweeps) and Hashtbl lookups
     keyed on task ids — exactly what the fast path replaces.  Keep
     this file boring: any behavioural change must be mirrored in
-    [schedsim.ml] and will be caught by the equivalence suite. *)
+    [lib/sim/schedsim.ml] and will be caught by the equivalence suite. *)
 
 module Ir = Bamboo_ir.Ir
 module Cost = Bamboo_interp.Cost
@@ -21,7 +19,7 @@ module Layout = Bamboo_machine.Layout
 module Profile = Bamboo_profile.Profile
 module Astg = Bamboo_analysis.Astg
 module Pqueue = Bamboo_support.Pqueue
-open Sim_types
+open Bamboo_sim.Sim_types
 
 type core = {
   cid : int;

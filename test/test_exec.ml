@@ -236,17 +236,6 @@ let test_canon_insensitive () =
   Helpers.check_string "order-insensitive" d1 d2;
   Helpers.check_bool "content-sensitive" true (d1 <> d3)
 
-let test_reference_escape_hatch () =
-  let prog = Helpers.compile Helpers.counter_src in
-  let layout = Exec.spread_layout prog Machine.single in
-  Exec.use_reference := true;
-  let r = Fun.protect ~finally:(fun () -> Exec.use_reference := false)
-      (fun () -> Exec.run ~args:[ "3" ] prog layout)
-  in
-  Helpers.check_int "reference path marks x_domains = 0" 0 r.x_domains;
-  let rp = Exec.run ~args:[ "3" ] ~domains:2 prog layout in
-  Helpers.check_string "reference and parallel digests agree" r.x_digest rp.x_digest
-
 (* ------------------------------------------------------------------ *)
 (* Dynamic lockset sanitizer *)
 
@@ -414,7 +403,6 @@ let tests =
       [
         Alcotest.test_case "ordered try-lock model" `Quick test_trylock_model;
         Alcotest.test_case "canonical digest" `Quick test_canon_insensitive;
-        Alcotest.test_case "reference escape hatch" `Quick test_reference_escape_hatch;
       ] );
     ( "exec.stress",
       [

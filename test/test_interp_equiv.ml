@@ -1,7 +1,6 @@
-(** Equivalence suite for the three interpreter engines.
+(** Equivalence suite for the two interpreter engines.
 
-    The bytecode executor ({!Bamboo.Icompile}) and the closure engine
-    ({!Bamboo.Iclosure}) must both be observationally
+    The closure engine ({!Bamboo.Iclosure}) must be observationally
     indistinguishable from the tree-walking oracle selected by
     [Interp.engine := Tree]: same output, same canonical digest, same
     error messages, and — because the whole experimental apparatus is
@@ -9,8 +8,8 @@
     The suite checks all seven benchmarks sequentially and at 2/4/8
     domains, every interpreter error path by message equality, the
     Java fidelity of [Random.nextInt], a first-compile race across
-    domains, and a three-way differential fuzzer over randomly
-    generated well-typed bodies. *)
+    domains, and a differential fuzzer over randomly generated
+    well-typed bodies. *)
 
 module Interp = Bamboo.Interp
 module Canon = Bamboo.Canon
@@ -27,10 +26,7 @@ let with_engine e f =
   Fun.protect ~finally:(fun () -> Interp.engine := saved) f
 
 let with_reference f = with_engine Interp.Tree f
-
-(** The two compiled engines, each verified against the tree-walking
-    oracle. *)
-let compiled_engines = [ Interp.Bytecode; Interp.Closure ]
+let with_closure f = with_engine Interp.Closure f
 
 (* ------------------------------------------------------------------ *)
 (* Sequential equivalence: output, digest, and exact cycles *)
@@ -49,14 +45,11 @@ let test_seq_equivalence (b : Bench_def.t) () =
   let args = Helpers.small_args b.b_name in
   let prog = Bamboo.compile b.b_source in
   let tree = with_reference (fun () -> observe_seq prog args) in
-  List.iter
-    (fun e ->
-      let name what = Printf.sprintf "%s %s (%s)" b.b_name what (Interp.engine_name e) in
-      let got = with_engine e (fun () -> observe_seq prog args) in
-      Helpers.check_string (name "output") tree.o_out got.o_out;
-      Helpers.check_string (name "digest") tree.o_digest got.o_digest;
-      Helpers.check_int (name "exact cycles") tree.o_cycles got.o_cycles)
-    compiled_engines
+  let got = with_closure (fun () -> observe_seq prog args) in
+  let name what = Printf.sprintf "%s %s" b.b_name what in
+  Helpers.check_string (name "output") tree.o_out got.o_out;
+  Helpers.check_string (name "digest") tree.o_digest got.o_digest;
+  Helpers.check_int (name "exact cycles") tree.o_cycles got.o_cycles
 
 (* ------------------------------------------------------------------ *)
 (* Parallel equivalence: digest (always) and exact charged cycles at
@@ -87,20 +80,12 @@ let test_par_equivalence (b : Bench_def.t) () =
       [ 2; 4; 8 ]
   in
   let tree = with_reference run in
-  List.iter
-    (fun e ->
-      let got = with_engine e run in
-      List.iter2
-        (fun (d, cdig, ccyc) (_, tdig, tcyc) ->
-          Helpers.check_string
-            (Printf.sprintf "%s digest @ %d domains (%s)" b.b_name d (Interp.engine_name e))
-            tdig cdig;
-          if cycles_schedule_invariant b.b_name then
-            Helpers.check_int
-              (Printf.sprintf "%s cycles @ %d domains (%s)" b.b_name d (Interp.engine_name e))
-              tcyc ccyc)
-        got tree)
-    compiled_engines
+  List.iter2
+    (fun (d, cdig, ccyc) (_, tdig, tcyc) ->
+      Helpers.check_string (Printf.sprintf "%s digest @ %d domains" b.b_name d) tdig cdig;
+      if cycles_schedule_invariant b.b_name then
+        Helpers.check_int (Printf.sprintf "%s cycles @ %d domains" b.b_name d) tcyc ccyc)
+    (with_closure run) tree
 
 let equivalence_cases =
   List.concat_map
@@ -133,11 +118,7 @@ let error_message ?classes body =
 
 let check_same_error name ?classes body =
   let tree = with_reference (fun () -> error_message ?classes body) in
-  List.iter
-    (fun e ->
-      let got = with_engine e (fun () -> error_message ?classes body) in
-      Helpers.check_string (name ^ " (" ^ Interp.engine_name e ^ ")") tree got)
-    compiled_engines
+  Helpers.check_string name tree (with_closure (fun () -> error_message ?classes body))
 
 let test_error_messages () =
   check_same_error "div by zero" "int z = 0; int q = 1 / z;";
@@ -155,8 +136,8 @@ let test_error_messages () =
   check_same_error "negative array size" "int n = 0 - 3; int[] a = new int[n];";
   check_same_error "nextInt bad bound" "Random r = new Random(1); int n = r.nextInt(0);"
 
-(** Fuel exhaustion must trip with the identical message under all
-    engines (the compiled engines check fuel at block granularity, but
+(** Fuel exhaustion must trip with the identical message under both
+    engines (the closure engine checks fuel at block granularity, but
     the message and exception are shared). *)
 let test_fuel_exhaustion () =
   let prog = Bamboo.compile (wrap "int i = 0; while (true) { i = i + 1; }") in
@@ -169,42 +150,25 @@ let test_fuel_exhaustion () =
   in
   let tree = with_reference fuel_error in
   Helpers.check_string "exact message" "interpreter fuel exhausted" tree;
-  List.iter
-    (fun e ->
-      let got = with_engine e fuel_error in
-      Helpers.check_string ("fuel message (" ^ Interp.engine_name e ^ ")") tree got)
-    compiled_engines
+  Helpers.check_string "fuel message (closure)" tree (with_closure fuel_error)
 
 (* ------------------------------------------------------------------ *)
 (* Engine plumbing *)
 
 let test_compile_cache () =
   let prog = Bamboo.compile Helpers.counter_src in
-  Helpers.check_bool "bytecode is cached per program" true
-    (Bamboo.Icompile.get prog == Bamboo.Icompile.get prog);
   Helpers.check_bool "closure code is cached per program" true
     (Bamboo.Iclosure.get prog == Bamboo.Iclosure.get prog);
-  let carries e =
-    let ctx = with_engine e (fun () -> Interp.create prog) in
-    match (e, ctx.Interp.code) with
-    | Interp.Tree, Interp.Etree
-    | Interp.Bytecode, Interp.Ebyte _
-    | Interp.Closure, Interp.Eclos _ -> true
-    | _ -> false
-  in
-  List.iter
-    (fun e ->
-      Helpers.check_bool
-        ("contexts carry " ^ Interp.engine_name e ^ " code")
-        true (carries e))
-    [ Interp.Tree; Interp.Bytecode; Interp.Closure ]
+  let code e = (with_engine e (fun () -> Interp.create prog)).Interp.code in
+  Helpers.check_bool "tree contexts carry no code" true (code Interp.Tree = Interp.Etree);
+  Helpers.check_bool "closure contexts carry closure code" true
+    (match code Interp.Closure with Interp.Eclos _ -> true | Interp.Etree -> false)
 
-(** Satellite regression: race the *first* compile of a fresh program
-    across domains, for both per-program code caches.  The caches are
-    mutex-guarded, so every domain must come back with the same
-    physically-shared compiled code (and nothing must crash).  Before
-    the guard existed this was a genuine data race on the cache
-    list. *)
+(** Regression: race the *first* compile of a fresh program across
+    domains.  The per-program code cache is mutex-guarded, so every
+    domain must come back with the same physically-shared compiled
+    code (and nothing must crash).  Before the guard existed this was
+    a genuine data race on the cache list. *)
 let test_compile_race () =
   let race get =
     let prog = Bamboo.compile Helpers.counter_src in
@@ -221,8 +185,6 @@ let test_compile_race () =
     let results = Array.map Domain.join workers in
     Array.for_all (fun c -> c == results.(0)) results
   in
-  Helpers.check_bool "bytecode first-compile race yields one shared code" true
-    (race Bamboo.Icompile.get);
   Helpers.check_bool "closure first-compile race yields one shared code" true
     (race Bamboo.Iclosure.get)
 
@@ -256,7 +218,7 @@ let test_rng_java_fidelity () =
     (run_ints "Random r = new Random(0); System.printInt(r.nextInt(1431655765));")
 
 (* ------------------------------------------------------------------ *)
-(* Differential fuzzer: random well-typed bodies, compiled vs tree.
+(* Differential fuzzer: random well-typed bodies, closure vs tree.
    Programs are terminating and error-free by construction (loops are
    bounded counters, array indices are masked, divisors are nonzero
    literals); output and exact cycles must agree. *)
@@ -431,54 +393,32 @@ let observe_fuel prog ~max_steps =
   | exception Bamboo.Value.Runtime_error m -> Error (m, ctx.Interp.cycles, ctx.Interp.steps)
 
 let fuzz_engines_agree =
-  QCheck.Test.make
-    ~name:"tree, bytecode and closure engines agree on random bodies" ~count:50
+  QCheck.Test.make ~name:"tree walker and closure engine agree on random bodies" ~count:50
     (QCheck.make ~print:gen_body QCheck.Gen.(0 -- 1_000_000))
     (fun seed ->
       let src = wrap (gen_body seed) in
       let prog = Bamboo.compile src in
       let tree = with_reference (fun () -> observe_seq prog []) in
-      List.iter
-        (fun e ->
-          let en = Interp.engine_name e in
-          let got = with_engine e (fun () -> observe_seq prog []) in
-          if got.o_out <> tree.o_out then
-            QCheck.Test.fail_reportf "%s output mismatch:\n%s\nvs\n%s" en got.o_out
-              tree.o_out;
-          if got.o_cycles <> tree.o_cycles then
-            QCheck.Test.fail_reportf "%s cycle mismatch: %d vs %d" en got.o_cycles
-              tree.o_cycles;
-          if got.o_digest <> tree.o_digest then
-            QCheck.Test.fail_reportf "%s digest mismatch" en)
-        compiled_engines;
+      let got = with_closure (fun () -> observe_seq prog []) in
+      if got.o_out <> tree.o_out then
+        QCheck.Test.fail_reportf "output mismatch:\n%s\nvs\n%s" got.o_out tree.o_out;
+      if got.o_cycles <> tree.o_cycles then
+        QCheck.Test.fail_reportf "cycle mismatch: %d vs %d" got.o_cycles tree.o_cycles;
+      if got.o_digest <> tree.o_digest then QCheck.Test.fail_reportf "digest mismatch";
       (* Fuel differential: run the same body under a budget tight
          enough that many generated bodies exhaust it.  Successful
-         runs must agree exactly three-way; erroring runs must agree
-         on the message three-way, and exactly (cycles and steps at
-         trip time included) between the two compiled tiers — the tree
-         walker trips mid-block, the compiled engines at the
-         block-aggregate [Kcost], so error-time counters are only
-         bit-identical within the compiled tier. *)
+         runs must agree exactly; erroring runs must agree on the
+         message.  Counters at trip time may differ: the tree walker
+         trips mid-block, the closure engine at the block-aggregate
+         [Kcost]. *)
       let budget = 150 in
       let tree_fuel = with_reference (fun () -> observe_fuel prog ~max_steps:budget) in
-      let byte_fuel =
-        with_engine Interp.Bytecode (fun () -> observe_fuel prog ~max_steps:budget)
-      in
-      let clos_fuel =
-        with_engine Interp.Closure (fun () -> observe_fuel prog ~max_steps:budget)
-      in
-      (match (tree_fuel, byte_fuel, clos_fuel) with
-      | Ok t, Ok b, Ok c ->
-          if b <> t then QCheck.Test.fail_reportf "bytecode fuel-budget run mismatch";
-          if c <> t then QCheck.Test.fail_reportf "closure fuel-budget run mismatch"
-      | Error (mt, _, _), Error (mb, _, _), Error (mc, _, _) ->
-          if mb <> mt || mc <> mt then
-            QCheck.Test.fail_reportf "fuel error message mismatch: %S / %S / %S" mt mb mc
-      | _ ->
-          QCheck.Test.fail_reportf "fuel-budget success/error disagreement across engines");
-      if byte_fuel <> clos_fuel then
-        QCheck.Test.fail_reportf
-          "bytecode and closure disagree at the fuel boundary (cycles/steps at trip time)";
+      let clos_fuel = with_closure (fun () -> observe_fuel prog ~max_steps:budget) in
+      (match (tree_fuel, clos_fuel) with
+      | Ok t, Ok c -> if c <> t then QCheck.Test.fail_reportf "fuel-budget run mismatch"
+      | Error (mt, _, _), Error (mc, _, _) ->
+          if mc <> mt then QCheck.Test.fail_reportf "fuel error message mismatch: %S / %S" mt mc
+      | _ -> QCheck.Test.fail_reportf "fuel-budget success/error disagreement across engines");
       true)
 
 let tests =

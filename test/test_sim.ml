@@ -286,13 +286,13 @@ let check_equivalence (b : Bamboo_benchmarks.Bench_def.t) =
   List.iteri
     (fun i l ->
       let name = Printf.sprintf "%s layout %d" b.b_name i in
-      let r_ref = Schedsim.simulate_reference prog prof l in
+      let r_ref = Schedsim_reference.simulate prog prof l in
       let r_dense = Schedsim.simulate_prepared prepared l in
       check_results_equal name r_ref r_dense;
       (* Bounded runs must agree too: same abort point, same partial
          event counts. *)
       let bound = max 1 (r_ref.s_total_cycles * 3 / 4) in
-      let p_ref = Schedsim.simulate_reference ~cycle_bound:bound prog prof l in
+      let p_ref = Schedsim_reference.simulate ~cycle_bound:bound prog prof l in
       let p_dense = Schedsim.simulate_prepared ~cycle_bound:bound prepared l in
       check_results_equal (name ^ " (bounded)") p_ref p_dense)
     layouts
