@@ -175,136 +175,3 @@ type program_code = {
   p_tasks : body array;
   p_methods : body array array;   (** indexed [class_id].(method_id) *)
 }
-
-(* ------------------------------------------------------------------ *)
-(* Debug rendering (used by compiler tests and [--dump-bytecode]-style
-   troubleshooting from the toplevel). *)
-
-let string_of_src = function
-  | Sint r -> Printf.sprintf "i%d" r
-  | Sbool r -> Printf.sprintf "b%d" r
-  | Sflt r -> Printf.sprintf "f%d" r
-  | Sval r -> Printf.sprintf "v%d" r
-
-let string_of_dst = function
-  | Dint r -> Printf.sprintf "i%d" r
-  | Dbool r -> Printf.sprintf "b%d" r
-  | Dflt r -> Printf.sprintf "f%d" r
-  | Dval r -> Printf.sprintf "v%d" r
-  | Dnone -> "_"
-
-let string_of_instr (i : instr) =
-  let p = Printf.sprintf in
-  match i with
-  | Kcost (c, s) -> p "cost %d cycles, %d steps" c s
-  | Kjmp t -> p "jmp %d" t
-  | Kbrf (r, t) -> p "brf i%d -> %d" r t
-  | Kbrt (r, t) -> p "brt i%d -> %d" r t
-  | Kret_i r -> p "ret.i i%d" r
-  | Kret_b r -> p "ret.b i%d" r
-  | Kret_f r -> p "ret.f f%d" r
-  | Kret_v r -> p "ret.v v%d" r
-  | Kret_void -> "ret.void"
-  | Ktaskexit n -> p "taskexit %d" n
-  | Kesc_return -> "esc.return"
-  | Kesc_break -> "esc.break"
-  | Kesc_continue -> "esc.continue"
-  | Kerror m -> p "error %S" m
-  | Kmov_i (d, a) -> p "mov.i i%d <- i%d" d a
-  | Kmov_f (d, a) -> p "mov.f f%d <- f%d" d a
-  | Kmov_v (d, a) -> p "mov.v v%d <- v%d" d a
-  | Kconst_i (d, n) -> p "const.i i%d <- %d" d n
-  | Kconst_f (d, f) -> p "const.f f%d <- %g" d f
-  | Kconst_s (d, s) -> p "const.s v%d <- %S" d s
-  | Kconst_null d -> p "const.null v%d" d
-  | Kbox_i (d, a) -> p "box.i v%d <- i%d" d a
-  | Kbox_b (d, a) -> p "box.b v%d <- i%d" d a
-  | Kbox_f (d, a) -> p "box.f v%d <- f%d" d a
-  | Kunbox_i (d, a) -> p "unbox.i i%d <- v%d" d a
-  | Kunbox_b (d, a) -> p "unbox.b i%d <- v%d" d a
-  | Kunbox_f (d, a) -> p "unbox.f f%d <- v%d" d a
-  | Kiadd (d, a, b) -> p "add.i i%d <- i%d i%d" d a b
-  | Kisub (d, a, b) -> p "sub.i i%d <- i%d i%d" d a b
-  | Kimul (d, a, b) -> p "mul.i i%d <- i%d i%d" d a b
-  | Kidiv (d, a, b) -> p "div.i i%d <- i%d i%d" d a b
-  | Kimod (d, a, b) -> p "mod.i i%d <- i%d i%d" d a b
-  | Kiband (d, a, b) -> p "and.i i%d <- i%d i%d" d a b
-  | Kibor (d, a, b) -> p "or.i i%d <- i%d i%d" d a b
-  | Kibxor (d, a, b) -> p "xor.i i%d <- i%d i%d" d a b
-  | Kishl (d, a, b) -> p "shl.i i%d <- i%d i%d" d a b
-  | Kishr (d, a, b) -> p "shr.i i%d <- i%d i%d" d a b
-  | Kineg (d, a) -> p "neg.i i%d <- i%d" d a
-  | Kbnot (d, a) -> p "not.b i%d <- i%d" d a
-  | Kicmp (_, d, a, b) -> p "cmp.i i%d <- i%d i%d" d a b
-  | Kfadd (d, a, b) -> p "add.f f%d <- f%d f%d" d a b
-  | Kfsub (d, a, b) -> p "sub.f f%d <- f%d f%d" d a b
-  | Kfmul (d, a, b) -> p "mul.f f%d <- f%d f%d" d a b
-  | Kfdiv (d, a, b) -> p "div.f f%d <- f%d f%d" d a b
-  | Kfneg (d, a) -> p "neg.f f%d <- f%d" d a
-  | Kfcmp (_, d, a, b) -> p "cmp.f i%d <- f%d f%d" d a b
-  | Kscmp (_, d, a, b) -> p "cmp.s i%d <- v%d v%d" d a b
-  | Ksconcat (d, a, b) -> p "concat v%d <- v%d v%d" d a b
-  | Krcmp (eq, d, a, b) -> p "cmp.r%s i%d <- v%d v%d" (if eq then "eq" else "ne") d a b
-  | Ki2f (d, a) -> p "i2f f%d <- i%d" d a
-  | Kf2i (d, a) -> p "f2i i%d <- f%d" d a
-  | Kcheck_obj r -> p "check.obj v%d" r
-  | Kcheck_arr r -> p "check.arr v%d" r
-  | Kgetf_i (d, o, f) -> p "getf.i i%d <- v%d.%d" d o f
-  | Kgetf_b (d, o, f) -> p "getf.b i%d <- v%d.%d" d o f
-  | Kgetf_f (d, o, f) -> p "getf.f f%d <- v%d.%d" d o f
-  | Kgetf_v (d, o, f) -> p "getf.v v%d <- v%d.%d" d o f
-  | Ksetf_i (o, f, s) -> p "setf.i v%d.%d <- i%d" o f s
-  | Ksetf_b (o, f, s) -> p "setf.b v%d.%d <- i%d" o f s
-  | Ksetf_f (o, f, s) -> p "setf.f v%d.%d <- f%d" o f s
-  | Ksetf_v (o, f, s) -> p "setf.v v%d.%d <- v%d" o f s
-  | Kload_i (d, a, i) -> p "load.i i%d <- v%d[i%d]" d a i
-  | Kload_b (d, a, i) -> p "load.b i%d <- v%d[i%d]" d a i
-  | Kload_f (d, a, i) -> p "load.f f%d <- v%d[i%d]" d a i
-  | Kload_v (d, a, i) -> p "load.v v%d <- v%d[i%d]" d a i
-  | Kstore_i (a, i, s) -> p "store.i v%d[i%d] <- i%d" a i s
-  | Kstore_b (a, i, s) -> p "store.b v%d[i%d] <- i%d" a i s
-  | Kstore_f (a, i, s) -> p "store.f v%d[i%d] <- f%d" a i s
-  | Kstore_v (a, i, s) -> p "store.v v%d[i%d] <- v%d" a i s
-  | Klen (d, a) -> p "len i%d <- v%d" d a
-  | Kcall c ->
-      p "call %s <- [%d.%d] v%d (%s)" (string_of_dst c.k_dst) c.k_cid c.k_mid c.k_recv
-        (String.concat " " (Array.to_list (Array.map string_of_src c.k_args)))
-  | Knew n ->
-      p "new v%d <- site%d (%s)" n.k_nd n.k_site
-        (String.concat " " (Array.to_list (Array.map string_of_src n.k_nargs)))
-  | Knewarr (d, _, dims) ->
-      p "newarr v%d dims(%s)" d
-        (String.concat " " (Array.to_list (Array.map (Printf.sprintf "i%d") dims)))
-  | Knewtag (d, ty) -> p "newtag v%d ty%d" d ty
-  | Kmath1 (_, d, a) -> p "math1 f%d <- f%d" d a
-  | Kmath2 (_, d, a, b) -> p "math2 f%d <- f%d f%d" d a b
-  | Kiabs (d, a) -> p "abs.i i%d <- i%d" d a
-  | Kimin (d, a, b) -> p "min.i i%d <- i%d i%d" d a b
-  | Kimax (d, a, b) -> p "max.i i%d <- i%d i%d" d a b
-  | Kstrlen (d, s) -> p "strlen i%d <- v%d" d s
-  | Kcharat (d, s, i) -> p "charat i%d <- v%d[i%d]" d s i
-  | Ksubstring (d, s, i, j) -> p "substr v%d <- v%d[i%d..i%d]" d s i j
-  | Kstreq (d, a, b) -> p "streq i%d <- v%d v%d" d a b
-  | Kindexof (d, s, pat, f) -> p "indexof i%d <- v%d v%d i%d" d s pat f
-  | Kstrhash (d, s) -> p "strhash i%d <- v%d" d s
-  | Kitos (d, a) -> p "itos v%d <- i%d" d a
-  | Kdtos (d, a) -> p "dtos v%d <- f%d" d a
-  | Kparsei (d, a) -> p "parsei i%d <- v%d" d a
-  | Kparsed (d, a) -> p "parsed f%d <- v%d" d a
-  | Kprints r -> p "print.s v%d" r
-  | Kprinti r -> p "print.i i%d" r
-  | Kprintd r -> p "print.d f%d" r
-  | Krngnew (d, s) -> p "rng.new v%d <- i%d" d s
-  | Krngint (d, r, b) -> p "rng.int i%d <- v%d i%d" d r b
-  | Krngdouble (d, r) -> p "rng.double f%d <- v%d" d r
-  | Krnggauss (d, r) -> p "rng.gauss f%d <- v%d" d r
-
-let dump_body (b : body) =
-  let buf = Buffer.create 256 in
-  Array.iteri
-    (fun i ins -> Buffer.add_string buf (Printf.sprintf "%4d  %s\n" i (string_of_instr ins)))
-    b.b_code;
-  Buffer.contents buf
-
-let _ = dump_body
-let _ = string_of_src

@@ -90,7 +90,8 @@ let multi_instance_ok (task : Ir.taskinfo) =
   || Array.for_all (fun (p : Ir.paraminfo) -> p.p_tags <> []) task.t_params
 
 (** Validate a layout against the program: every task hosted
-    somewhere, and the multi-instantiation restriction honoured. *)
+    somewhere, on distinct cores, and the multi-instantiation
+    restriction honoured. *)
 let validate (prog : Ir.program) l =
   let problems = ref [] in
   Array.iter
@@ -98,6 +99,13 @@ let validate (prog : Ir.program) l =
       let cores = l.assignment.(t.t_id) in
       if Array.length cores = 0 then
         problems := Printf.sprintf "task %s is not mapped to any core" t.t_name :: !problems;
+      let sorted = Array.copy cores in
+      Array.sort compare sorted;
+      Array.iteri
+        (fun i c ->
+          if i > 0 && sorted.(i - 1) = c && (i = 1 || sorted.(i - 2) <> c) then
+            problems := Printf.sprintf "task %s lists core %d twice" t.t_name c :: !problems)
+        sorted;
       if Array.length cores > 1 && not (multi_instance_ok t) then
         problems :=
           Printf.sprintf "multi-parameter task %s has %d untagged instantiations" t.t_name

@@ -13,28 +13,41 @@
     therefore drives [starts] {e independent annealing chains} in
     lockstep rounds over one shared evaluator: each round gathers every
     live chain's pending layouts into a single
-    {!Evaluator.batch_bounded} fan-out (each request bounded by its
-    own chain's incumbent), distributes the scores, and advances the
-    chains in fixed index order.  Chains share the memo cache — a
-    layout one chain scored is a hit for every other — but share no
-    randomness: each chain draws from its own PRNG stream split from
-    the root seed on the calling domain, so the whole search is
-    bit-identical for any [jobs] count.  Each scored layout's
-    critical-path {!Evaluator.direction} comes back from the same
-    fan-out, so planning a round analyses nothing on this domain.
+    {!Evaluator.batch_bounded} fan-out, hands each chain its own
+    answers in request order, and advances the chains across the same
+    pool.  Chains share the memo cache — a layout one chain scored is
+    a hit for every other — but share no randomness: each chain draws
+    from its own PRNG stream split from the root seed on the calling
+    domain, and plans from its own state and cache reads alone, so the
+    whole search is bit-identical for any [jobs] count.  Each scored
+    layout's critical-path {!Evaluator.direction} comes back from the
+    same fan-out, so planning a round analyses nothing; it only
+    generates and deduplicates neighbours.  A score is always paired
+    with the layout that was simulated ({!scored}): the cache answers
+    an isomorphic requester with its representative, whose core ids the
+    mesh distances and the direction refer to, so [best_cycles] is
+    exactly a fresh simulation of [best].
+
+    The rounds are a branch-and-bound across chains.  Each request is
+    bounded by its chain's pool best, tightened to {!bound_slack} times
+    the global incumbent — the best score any chain holds when the
+    round starts, so bounds are the same for any [jobs].  A chain far
+    behind the leader stops simulating its neighbours as soon as they
+    provably fall that far behind, stops improving, and dies out at a
+    plateau draw.
 
     Two policies target searches that stall on a secondary attractor
-    (ROADMAP item 3: Tracking):
+    (Tracking's):
 
     - {b Restart}: a chain that fails to improve its incumbent for
       [restart_stall] consecutive rounds abandons its pool and
       re-seeds from fresh candidates ([synthesize] draws them from the
       candidate generator at perturbed multiplicities; bare [optimize]
       falls back to heavy shakes of the incumbent).  The incumbent
-      stays recorded as the chain's best, but the restarted pool is
-      evaluated {e unbounded} and bounded only by its own scores
-      afterwards, so the fresh basin is actually explored rather than
-      pruned against the score it is trying to escape.
+      stays recorded as the chain's best, but the restarted pool's
+      first round is evaluated {e unbounded}, so the fresh basin is
+      actually explored rather than pruned against the score it is
+      trying to escape; later rounds are bounded like any other.
     - {b Tempering} ([~tempering:true]): survival and continuation
       probabilities anneal with a temperature that cools linearly over
       the iteration budget — early rounds keep poor layouts and push
@@ -48,6 +61,7 @@ module Profile = Bamboo_profile.Profile
 module Cstg = Bamboo_cstg.Cstg
 module Critpath = Bamboo_sim.Critpath
 module Prng = Bamboo_support.Prng
+module Pool = Bamboo_support.Pool
 
 type config = {
   initial_candidates : int;   (* random starting points per run *)
@@ -112,12 +126,8 @@ let with_task_moved prog layout tid ~from_core ~to_core =
 
 let with_task_replicated prog layout tid ~on_core =
   let l = Layout.copy layout in
-  let cores = Layout.cores_of l tid in
-  if Array.exists (fun c -> c = on_core) cores then None
-  else begin
-    Layout.set_cores l tid (Array.append cores [| on_core |]);
-    if Layout.validate prog l = [] then Some l else None
-  end
+  Layout.set_cores l tid (Array.append (Layout.cores_of l tid) [| on_core |]);
+  if Layout.validate prog l = [] then Some l else None
 
 (** Layouts attempting to remove the bottlenecks reported by the
     critical path analysis. *)
@@ -151,7 +161,10 @@ let shake rng prog layout =
 let heavy_shake rng prog layout =
   shake rng prog (shake rng prog (shake rng prog layout))
 
-let neighbours cfg rng prog (d : Evaluator.direction) layout =
+(** Neighbours of the layout [d] was simulated on: its spare cores and
+    critical-path opportunities name that layout's core ids. *)
+let neighbours cfg rng prog (d : Evaluator.direction) =
+  let layout = d.d_layout in
   let ops = take cfg.max_ops_per_layout d.d_opportunities in
   let machine = layout.Layout.machine in
   let spares = spare_cores d machine (max 2 cfg.neighbours_per_op) in
@@ -224,14 +237,27 @@ type chain = {
   mutable ch_restarts : int;
 }
 
+(** How far behind the global incumbent a chain may still simulate.
+    Chosen from a measured curve: tighter slacks lose KMeans' best
+    layout at some DSA seeds, looser ones simulate more events for the
+    same layouts. *)
+let bound_slack = 1.25
+
 (** The bound a chain's next batch is pruned against: the best score
-    in its {e current} pool.  For a chain that never restarted this is
-    its incumbent (the best survivor is always kept); a freshly
-    restarted chain has an empty pool and therefore evaluates its new
+    in its {e current} pool, tightened to {!bound_slack} times the
+    global [incumbent] (the best score any chain has found when the
+    round starts).  A chain far behind the leader therefore simulates
+    its neighbours only as far as they could still come near the
+    leader, and a chain that cannot get there stalls and dies out.  A
+    freshly restarted chain has an empty pool and evaluates its new
     basin unbounded instead of pruning it against the score it is
     trying to escape. *)
-let chain_bound ch =
-  match ch.ch_kept with (c, _) :: _ when c < max_int -> Some c | _ -> None
+let request_bound ~incumbent ch =
+  match ch.ch_kept with
+  | (c, _) :: _ when c < max_int ->
+      let g = bound_slack *. float_of_int incumbent in
+      Some (if g < float_of_int c then int_of_float g else c)
+  | _ -> None
 
 (** Linear cooling over the iteration budget: 1 on the first round,
     0 at the end.  0 whenever tempering is off. *)
@@ -273,7 +299,7 @@ let plan_round cfg ~tempering ev prog ch (pool : (int * Layout.t) list) =
       (fun (_, l) ->
         match Evaluator.result ev l with
         | None -> []   (* overrun or pruned: no complete trace to direct from *)
-        | Some d -> neighbours cfg ch.ch_rng prog d l)
+        | Some d -> neighbours cfg ch.ch_rng prog d)
       kept
   in
   (* Plateau: diversify around the pool's best layout so continued
@@ -306,7 +332,7 @@ let plan_round cfg ~tempering ev prog ch (pool : (int * Layout.t) list) =
 
 (** Abandon the pool and re-seed from [reseed].  The incumbent stays
     in [ch_best] but deliberately {e not} in the pool: the fresh basin
-    is scored unbounded (see {!chain_bound}) and explored on its own
+    is scored unbounded (see {!request_bound}) and explored on its own
     merits. *)
 let restart_chain cfg ~reseed prog ch =
   ch.ch_restarts <- ch.ch_restarts + 1;
@@ -368,6 +394,14 @@ let advance cfg ~tempering ~reseed ev prog ch (scored : (int * Layout.t) list) =
 (* ------------------------------------------------------------------ *)
 (* Main loop *)
 
+(** A request's score, paired with the layout that was simulated: a
+    cache hit for an isomorphic requester answers with the cached
+    layout, so the pair's score is exactly that layout's simulation.
+    Overruns and prunes score [max_int] against the requester. *)
+let scored requested = function
+  | Evaluator.Full d -> (d.d_total_cycles, d.d_layout)
+  | Evaluator.Overrun | Evaluator.Pruned _ -> (max_int, requested)
+
 (** Optimize starting from [seeds] (already-generated candidate
     layouts).  Returns the best layout found and its estimated
     cycles.
@@ -376,13 +410,15 @@ let advance cfg ~tempering ~reseed ev prog ch (scored : (int * Layout.t) list) =
     from [seeds], later chains from [reseed] (or shaken copies of
     [seeds] without one), each with its own PRNG stream split from
     [seed].  Every round, all live chains' pending layouts go to the
-    evaluator as {e one} batch — each request bounded by its own
-    chain's incumbent — and are fanned across [jobs] domains together;
-    the chains then advance in fixed index order.  Scores, bounds and
-    every random draw are independent of how the batch was scheduled,
-    so outcomes are bit-identical for any [jobs] and any given
-    [starts].  Pass [evaluator] to share a memo cache across searches
-    (e.g. repeated DSA trials over one profile). *)
+    evaluator as {e one} batch — each request bounded by
+    {!request_bound} — and are fanned across [jobs] domains together;
+    the chains then advance across the same domains, one task per
+    chain.  [reseed] runs there too, so it must read nothing mutable
+    but the PRNG it is given.  Scores, bounds and every random draw
+    are independent of how either fan-out was scheduled, so outcomes
+    are bit-identical for any [jobs] and any given [starts].  Pass
+    [evaluator] to share a memo cache across searches (e.g. repeated
+    DSA trials over one profile). *)
 let optimize ?(config = default_config) ?(jobs = 1) ?evaluator ?(starts = 1)
     ?(tempering = false) ?reseed ~seed (prog : Ir.program) (profile : Profile.t)
     (seeds : Layout.t list) : outcome =
@@ -453,31 +489,42 @@ let optimize ?(config = default_config) ?(jobs = 1) ?evaluator ?(starts = 1)
   match
     while Array.exists (fun ch -> ch.ch_live) chains do
       (* One lockstep round: gather every live chain's requests, score
-         them in a single parallel fan-out, then advance the chains in
-         index order.  The request list (and so the cache's state at
+         them in a single parallel fan-out, then advance every chain on
+         the same pool.  The request list (and so the cache's state at
          every round boundary) is a deterministic function of the
          chains' states alone. *)
-      let reqs = ref [] in
-      Array.iter
-        (fun ch ->
-          if ch.ch_live then begin
-            let bound = chain_bound ch in
-            reqs := List.rev_append (List.rev_map (fun l -> (l, bound)) ch.ch_pending) !reqs
-          end)
-        chains;
-      let scored = Evaluator.batch_bounded ev (List.rev !reqs) in
-      let remaining = ref scored in
-      Array.iter
-        (fun ch ->
-          if ch.ch_live then begin
-            let nreq = List.length ch.ch_pending in
-            let mine = take nreq !remaining in
-            remaining := List.filteri (fun i _ -> i >= nreq) !remaining;
-            let pairs = List.map2 (fun l c -> (Evaluator.cycles_of c, l)) ch.ch_pending mine in
-            ch.ch_pending <- [];
-            advance config ~tempering ~reseed ev prog ch pairs
-          end)
-        chains
+      let live = List.filter (fun ch -> ch.ch_live) (Array.to_list chains) in
+      let incumbent =
+        Array.fold_left
+          (fun acc ch -> match ch.ch_best with Some (c, _) -> min acc c | None -> acc)
+          max_int chains
+      in
+      let reqs =
+        List.concat_map
+          (fun ch ->
+            let bound = request_bound ~incumbent ch in
+            List.map (fun l -> (l, bound)) ch.ch_pending)
+          live
+      in
+      let answers = Array.of_list (Evaluator.batch_bounded ev reqs) in
+      let next = ref 0 in
+      let rounds =
+        Array.of_list
+          (List.map
+             (fun ch ->
+               let pairs = List.mapi (fun i l -> scored l answers.(!next + i)) ch.ch_pending in
+               next := !next + List.length pairs;
+               ch.ch_pending <- [];
+               (ch, pairs))
+             live)
+      in
+      (* Planning is a chain's own business — its state, its PRNG
+         stream, and cache reads of layouts already scored — so chains
+         advance in parallel with the same result as in index order. *)
+      ignore
+        (Pool.map (Evaluator.pool ev)
+           (fun (ch, pairs) -> advance config ~tempering ~reseed ev prog ch pairs)
+           rounds)
     done
   with
   | () -> finish ()

@@ -16,9 +16,10 @@
       back for a serial fill loop on the calling domain.  The worker
       that completes a simulation also runs its critical-path pass
       ({!Bamboo_sim.Critpath}), and the cache keeps only what DSA reads
-      — the {!direction}: total cycles, per-core busy cycles and the
-      opportunity list, never the trace — so directing a kept layout
-      costs the calling domain neither a simulation nor an analysis.  The
+      — the {!direction}: the simulated layout, total cycles, per-core
+      busy cycles and the opportunity list, never the trace — so
+      directing a kept layout costs the calling domain neither a
+      simulation nor an analysis.  The
       [evaluated]/[cache_hits]/[pruned]/[sim_events] counters live
       per-shard and merge on read; each fresh key is simulated exactly
       once per batch, so the merged totals are independent of which
@@ -56,10 +57,15 @@ module Critpath = Bamboo_sim.Critpath
 module Pool = Bamboo_support.Pool
 module Sharded = Bamboo_support.Sharded_table
 
-(** What DSA reads of a complete simulation: its score, the per-core
-    busy cycles that pick spare cores, and the critical-path
-    opportunities that direct its neighbours. *)
+(** What DSA reads of a complete simulation: the layout that was
+    simulated, its score, the per-core busy cycles that pick spare
+    cores, and the critical-path opportunities that direct its
+    neighbours.  The cache key ignores physical core positions but mesh
+    hops do not, so a hit for an isomorphic requester answers with
+    [d_layout]: the score is exactly [d_layout]'s simulation, and the
+    busy cycles and opportunities name [d_layout]'s core ids. *)
 type direction = {
+  d_layout : Layout.t;
   d_total_cycles : int;
   d_per_core_busy : int array;
   d_opportunities : Critpath.opportunity list;
@@ -106,6 +112,11 @@ let create ?(jobs = 1) ?pool ?shards ?(max_invocations = 500_000) (prog : Ir.pro
   }
 
 let jobs t = Pool.jobs t.pool
+
+(** The pool simulations fan out on.  DSA advances its chains on it
+    too, between fan-outs. *)
+let pool t = t.pool
+
 let evaluated t = Sharded.counter t.cache c_evaluated
 let cache_hits t = Sharded.counter t.cache c_hits
 let pruned t = Sharded.counter t.cache c_pruned
@@ -132,7 +143,8 @@ let simulate_uncached t cycle_bound layout : cached * int =
       match r.Schedsim.s_status with
       | Schedsim.Complete ->
           ( Full
-              { d_total_cycles = r.s_total_cycles; d_per_core_busy = r.s_per_core_busy;
+              { d_layout = layout; d_total_cycles = r.s_total_cycles;
+                d_per_core_busy = r.s_per_core_busy;
                 d_opportunities = Critpath.opportunities (Critpath.analyse r) },
             r.s_sim_events )
       | Schedsim.Bounded b -> (Pruned b, r.Schedsim.s_sim_events))

@@ -307,27 +307,137 @@ let test_tempering_matches_baseline_at_zero_temp () =
   Helpers.check_bool "plain run improves too" true
     (o_plain.best_cycles < Bamboo.estimate prog prof bad)
 
-(* The search at benchmark scale, pinned: the multi-start synthesis
-   of every registry program but KMeans (left out for test time; the
-   perfbench layout cycles pin it) must reproduce these exact outcome
-   counters, so any change to how layouts are scored or directed that
-   alters the search fails here. *)
+(* ------------------------------------------------------------------ *)
+(* The search returns the layout it scored *)
+
+let counter_layout machine (prog : Ir.program) cores_of_task =
+  let l = Layout.create machine ~ntasks:(Array.length prog.tasks) in
+  Array.iter
+    (fun (t : Ir.taskinfo) -> Layout.set_cores l t.t_id (cores_of_task t.t_name))
+    prog.tasks;
+  l
+
+let simulated prog prof l = (Bamboo.Schedsim.simulate prog prof l).s_total_cycles
+
+let test_duplicate_cores_rejected () =
+  let prog, _, _ = setup () in
+  let dup = counter_layout Machine.quad prog (function "work" -> [| 1; 2; 1 |] | _ -> [| 0 |]) in
+  Alcotest.(check (list string))
+    "a task listing a core twice is reported" [ "task work lists core 1 twice" ]
+    (Layout.validate prog dup);
+  let ok = counter_layout Machine.quad prog (function "work" -> [| 1; 2 |] | _ -> [| 0 |]) in
+  Alcotest.(check (list string)) "distinct cores accepted" [] (Layout.validate prog ok);
+  let work = match Ir.find_task prog "work" with Some t -> t.t_id | None -> -1 in
+  Helpers.check_bool "moving an instance onto a core the task holds is refused" true
+    (Dsa.with_task_moved prog ok work ~from_core:1 ~to_core:2 = None)
+
+(* Two chains, each with two distinct pending layouts of distinct
+   scores: every score must reach the layout it was computed for, so
+   the one-round search returns the best layout with its own score. *)
+let test_round_pairs_scores_with_layouts () =
+  let prog, _, prof = setup () in
+  let mk work = counter_layout Machine.m16 prog (function "work" -> work | _ -> [| 0 |]) in
+  let chain0 = [ mk [| 0 |]; mk [| 0; 1 |] ] in
+  let chain1 = [ mk [| 0; 1; 2; 3 |]; mk [| 1; 2; 3; 4; 5; 6; 7; 8 |] ] in
+  let scores = List.map (simulated prog prof) (chain0 @ chain1) in
+  Helpers.check_int "four distinct scores" 4 (List.length (List.sort_uniq compare scores));
+  let cfg = { Dsa.default_config with max_iterations = 0 } in
+  let o = Dsa.optimize ~config:cfg ~starts:2 ~reseed:(fun _ -> chain1) ~seed:1 prog prof chain0 in
+  Helpers.check_int "best score found" (List.fold_left min max_int scores) o.best_cycles;
+  Helpers.check_int "best_cycles is best's simulation" (simulated prog prof o.best) o.best_cycles
+
+(* Layouts that differ only by core ids share a cache key, but mesh
+   hops make them simulate differently.  A hit answers with the layout
+   that was simulated, and DSA pairs the score with that layout. *)
+let test_isomorphic_hit_returns_simulated_layout () =
+  let prog, _, prof = setup () in
+  let machine = Machine.tilepro64 in
+  let a = counter_layout machine prog (function "work" -> [| 1; 2; 3 |] | _ -> [| 0 |]) in
+  let rotated =
+    { a with assignment = Array.map (Array.map (fun c -> (c + 7) mod machine.cores)) a.assignment }
+  in
+  Helpers.check_string "rotation keeps the key" (Layout.canonical_key a)
+    (Layout.canonical_key rotated);
+  Helpers.check_bool "rotation changes the simulation" true
+    (simulated prog prof a <> simulated prog prof rotated);
+  Bamboo.Evaluator.with_evaluator prog prof (fun ev ->
+      ignore (Bamboo.Evaluator.batch_cycles ev [ a ]);
+      match Bamboo.Evaluator.batch ev [ rotated ] with
+      | [ Full d ] ->
+          Alcotest.(check (array (array int)))
+            "the hit names the simulated layout" a.assignment d.d_layout.assignment;
+          Helpers.check_int "and its score" (simulated prog prof a) d.d_total_cycles
+      | _ -> Alcotest.fail "complete cached simulation expected");
+  let cfg = { Dsa.default_config with max_iterations = 0 } in
+  List.iter
+    (fun seeds ->
+      let o = Dsa.optimize ~config:cfg ~seed:1 prog prof seeds in
+      Helpers.check_int "best_cycles is best's simulation" (simulated prog prof o.best)
+        o.best_cycles)
+    [ [ a; rotated ]; [ rotated; a ] ]
+
+(* Registry searches at the compile benchmark's settings (starts 8,
+   TILEPro64), memoized so the invariant and pinned tests share them. *)
+let registry_search =
+  let memo = Hashtbl.create 32 in
+  fun name ~seed ~jobs ->
+    match Hashtbl.find_opt memo (name, seed, jobs) with
+    | Some o -> o
+    | None ->
+        let prog, an, prof = Helpers.registry_profiled (Bamboo_benchmarks.Registry.find name) in
+        let o = Bamboo.synthesize ~jobs ~starts:8 ~seed prog an prof Machine.tilepro64 in
+        Hashtbl.replace memo (name, seed, jobs) o;
+        o
+
+(* What a search reports is what it returns: [best_cycles] is exactly a
+   fresh simulation of [best], [best] is a valid layout (no core listed
+   twice), and the whole outcome is the same for any [jobs]. *)
+let test_registry_invariant name () =
+  let prog, _, prof = Helpers.registry_profiled (Bamboo_benchmarks.Registry.find name) in
+  List.iter
+    (fun seed ->
+      let at jobs = registry_search name ~seed ~jobs in
+      List.iter
+        (fun jobs ->
+          let o = at jobs in
+          let label = Printf.sprintf "%s seed %d jobs %d" name seed jobs in
+          Helpers.check_int (label ^ ": best_cycles is best's simulation")
+            (simulated prog prof o.best) o.best_cycles;
+          Alcotest.(check (list string))
+            (label ^ ": best is valid") [] (Layout.validate prog o.best))
+        [ 1; 2 ];
+      let counters (o : Dsa.outcome) =
+        [ o.best_cycles; o.iterations; o.restarts; o.evaluated; o.cache_hits; o.pruned;
+          o.sim_events ]
+      in
+      Alcotest.(check (list int))
+        (Printf.sprintf "%s seed %d: outcome counters jobs-invariant" name seed)
+        (counters (at 1)) (counters (at 2));
+      Alcotest.(check (array (array int)))
+        (Printf.sprintf "%s seed %d: best layout jobs-invariant" name seed)
+        (at 1).best.assignment (at 2).best.assignment)
+    [ 42; 1 ]
+
+(* The search at benchmark scale, pinned: the multi-start synthesis of
+   every registry program must reproduce these exact outcome counters,
+   so any change to how layouts are scored or directed that alters the
+   search fails here. *)
 let pinned_searches =
   (* program, best_cycles, evaluated, cache_hits, pruned, sim_events *)
   [
-    ("Tracking", 7_131_665, 1_520, 953, 1_113, 3_083_029);
-    ("MonteCarlo", 2_177_440, 304, 391, 188, 202_026);
-    ("FilterBank", 1_532_729, 271, 325, 158, 165_508);
-    ("Fractal", 1_274_060, 257, 331, 155, 313_306);
-    ("Series", 1_065_851, 271, 325, 158, 165_534);
-    ("KeywordCount", 9_833, 193, 132, 110, 20_905);
+    ("Tracking", 7_113_150, 625, 310, 496, 1_352_322);
+    ("KMeans", 9_394_513, 183, 290, 152, 1_680_031);
+    ("MonteCarlo", 2_177_460, 119, 93, 71, 83_628);
+    ("FilterBank", 1_532_653, 137, 204, 86, 93_170);
+    ("Fractal", 1_273_984, 137, 204, 86, 183_518);
+    ("Series", 1_065_775, 137, 204, 86, 93_264);
+    ("KeywordCount", 9_817, 236, 174, 142, 26_731);
   ]
 
 let test_registry_search_pinned () =
   List.iter
     (fun (name, best_cycles, evaluated, cache_hits, pruned, sim_events) ->
-      let prog, an, prof = Helpers.registry_profiled (Bamboo_benchmarks.Registry.find name) in
-      let o = Bamboo.synthesize ~jobs:2 ~starts:8 ~seed:42 prog an prof Machine.tilepro64 in
+      let o = registry_search name ~seed:42 ~jobs:2 in
       Alcotest.(check (list int))
         (name ^ ": best_cycles, evaluated, cache_hits, pruned, sim_events")
         [ best_cycles; evaluated; cache_hits; pruned; sim_events ]
@@ -523,7 +633,17 @@ let tests =
           test_batch_bounded_merges_duplicates;
         Alcotest.test_case "batch_bounded prunes at loosest" `Quick
           test_batch_bounded_prunes_at_loosest;
+        Alcotest.test_case "duplicate cores rejected" `Quick test_duplicate_cores_rejected;
+        Alcotest.test_case "round pairs scores with layouts" `Quick
+          test_round_pairs_scores_with_layouts;
+        Alcotest.test_case "isomorphic hit returns simulated layout" `Quick
+          test_isomorphic_hit_returns_simulated_layout;
         Alcotest.test_case "registry searches pinned" `Slow test_registry_search_pinned;
       ] );
+    ( "synth.invariant",
+      List.map
+        (fun (b : Bamboo_benchmarks.Bench_def.t) ->
+          Alcotest.test_case b.b_name `Slow (test_registry_invariant b.b_name))
+        Bamboo_benchmarks.Registry.all );
     Helpers.qsuite "synth.qcheck" [ dsa_monotone_prop ];
   ]
