@@ -91,21 +91,38 @@ let multi_instance_ok (task : Ir.taskinfo) =
 
 (** Validate a layout against the program: every task hosted
     somewhere, on distinct cores, and the multi-instantiation
-    restriction honoured. *)
+    restriction honoured.  Returns one message per problem, [[]] for a
+    valid layout.  Duplicate cores are found in one pass with a stamp
+    per core; only a task that fails it (or lists a core outside the
+    machine, which has no stamp) is sorted to name the cores it lists
+    twice. *)
 let validate (prog : Ir.program) l =
+  let ncores = l.machine.Machine.cores in
+  let stamp = Array.make ncores (-1) in
+  let rec distinct tid (cores : int array) i =
+    i = Array.length cores
+    || (let c = cores.(i) in
+        c >= 0 && c < ncores && stamp.(c) <> tid
+        && begin
+          stamp.(c) <- tid;
+          distinct tid cores (i + 1)
+        end)
+  in
   let problems = ref [] in
   Array.iter
     (fun (t : Ir.taskinfo) ->
       let cores = l.assignment.(t.t_id) in
       if Array.length cores = 0 then
         problems := Printf.sprintf "task %s is not mapped to any core" t.t_name :: !problems;
-      let sorted = Array.copy cores in
-      Array.sort compare sorted;
-      Array.iteri
-        (fun i c ->
-          if i > 0 && sorted.(i - 1) = c && (i = 1 || sorted.(i - 2) <> c) then
-            problems := Printf.sprintf "task %s lists core %d twice" t.t_name c :: !problems)
-        sorted;
+      if not (distinct t.t_id cores 0) then begin
+        let sorted = Array.copy cores in
+        Array.sort compare sorted;
+        Array.iteri
+          (fun i c ->
+            if i > 0 && sorted.(i - 1) = c && (i = 1 || sorted.(i - 2) <> c) then
+              problems := Printf.sprintf "task %s lists core %d twice" t.t_name c :: !problems)
+          sorted
+      end;
       if Array.length cores > 1 && not (multi_instance_ok t) then
         problems :=
           Printf.sprintf "multi-parameter task %s has %d untagged instantiations" t.t_name
@@ -115,33 +132,57 @@ let validate (prog : Ir.program) l =
   List.rev !problems
 
 (** Canonical key for isomorphism pruning: layouts that differ only by
-    a permutation of core ids produce the same key. *)
+    a permutation of core ids produce the same key.  Cores are renamed
+    in order of first appearance across the task list; each task then
+    contributes its instance count and its sorted renamed ids, every
+    number a fixed-width 16-bit field.  Two keys are therefore equal
+    exactly when the renamed layouts host every task on the same set
+    of cores — the classes of the printed key this replaced, kept as a
+    test oracle ([test/layout_oracle.ml]).  One pass renames through an
+    [int] array indexed by core, so a key costs no hashing, printing or
+    polymorphic comparison.  Raises [Invalid_argument] on a negative
+    core id, or on a layout too large for 16-bit fields. *)
 let canonical_key l =
-  (* Rename cores in order of first appearance across the task list. *)
-  let rename = Hashtbl.create 16 in
+  let tasks = l.assignment in
+  let fields = ref 0 and top = ref (-1) in
+  for tid = 0 to Array.length tasks - 1 do
+    let cores = tasks.(tid) in
+    fields := !fields + 1 + Array.length cores;
+    if Array.length cores > 0xffff then invalid_arg "Layout.canonical_key: layout too large";
+    for i = 0 to Array.length cores - 1 do
+      let c = cores.(i) in
+      if c < 0 then invalid_arg "Layout.canonical_key: negative core";
+      if c > !top then top := c
+    done
+  done;
+  if !top >= 0xffff then invalid_arg "Layout.canonical_key: layout too large";
+  let rename = Array.make (!top + 1) (-1) in
   let next = ref 0 in
-  let buf = Buffer.create 64 in
-  Array.iter
-    (fun cores ->
-      Buffer.add_char buf '[';
-      let renamed =
-        Array.map
-          (fun c ->
-            match Hashtbl.find_opt rename c with
-            | Some r -> r
-            | None ->
-                let r = !next in
-                incr next;
-                Hashtbl.replace rename c r;
-                r)
-          cores
-      in
-      let renamed = Array.copy renamed in
-      Array.sort compare renamed;
-      Array.iter (fun r -> Buffer.add_string buf (string_of_int r); Buffer.add_char buf ',') renamed;
-      Buffer.add_char buf ']')
-    l.assignment;
-  Buffer.contents buf
+  let key = Bytes.create (2 * !fields) in
+  let pos = ref 0 in
+  for tid = 0 to Array.length tasks - 1 do
+    let cores = tasks.(tid) in
+    let n = Array.length cores in
+    Bytes.set_uint16_le key !pos n;
+    let first = !pos + 2 in
+    for i = 0 to n - 1 do
+      let c = cores.(i) in
+      if rename.(c) < 0 then begin
+        rename.(c) <- !next;
+        incr next
+      end;
+      (* Insertion sort into this task's fields. *)
+      let r = rename.(c) in
+      let j = ref (first + (2 * i)) in
+      while !j > first && Bytes.get_uint16_le key (!j - 2) > r do
+        Bytes.set_uint16_le key !j (Bytes.get_uint16_le key (!j - 2));
+        j := !j - 2
+      done;
+      Bytes.set_uint16_le key !j r
+    done;
+    pos := first + (2 * n)
+  done;
+  Bytes.unsafe_to_string key
 
 let pp (prog : Ir.program) fmt l =
   List.iter

@@ -565,17 +565,13 @@ let run ?(args = []) ?(max_invocations = 2_000_000) ?(record_trace = false) ?loc
   let startup = Interp.make_startup st.ictx args in
   ignore (dispatch st ~from_core:0 startup 0);
   (* Event loop. *)
-  let rec loop () =
-    match Pqueue.pop st.events with
-    | None -> ()
-    | Some (now, ev) ->
-        (match ev with
-        | Arrive (c, e) -> deliver st st.cores.(c) e now
-        | Ready c -> core_ready st st.cores.(c) now
-        | Finish c -> core_finish st st.cores.(c) now);
-        loop ()
-  in
-  loop ();
+  while not (Pqueue.is_empty st.events) do
+    let now = Pqueue.min_prio st.events in
+    match Pqueue.take st.events with
+    | Arrive (c, e) -> deliver st st.cores.(c) e now
+    | Ready c -> core_ready st st.cores.(c) now
+    | Finish c -> core_finish st st.cores.(c) now
+  done;
   let total = Array.fold_left (fun acc c -> max acc c.busy_until) 0 st.cores in
   {
     r_total_cycles = total;

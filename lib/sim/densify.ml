@@ -16,13 +16,16 @@
       expression-tree walk;
     - tag constraints become a bitmask compared with [land];
     - exit actions become four masks (flag set/clear, tag add/clear)
-      whose application is three bitwise ops — replacing
+      whose application is a few bitwise ops — replacing
       [Astg.apply_actions], which rebuilt slot-tag association lists
       on every call;
     - the Markov model's per-exit probabilities, rare-group shares,
       rounded durations, and allocation-site averages are computed
       once, with the {e same} float operations in the {e same} order
       as the reference path, so results stay bit-identical.
+
+    [Schedsim] evaluates the compiled guards and actions itself, in
+    the module whose event loop calls them.
 
     A prepared value is immutable and safe to share across domains;
     all mutable simulation state lives in [Schedsim]'s per-run
@@ -63,16 +66,6 @@ let compile_guard (exp : Ir.flagexp) : guard =
     done;
     Gtable { bits; tbl }
   end
-
-let eval_guard g word =
-  match g with
-  | Gtree exp -> Ir.eval_flagexp exp word
-  | Gtable { bits; tbl } ->
-      let i = ref 0 in
-      for k = 0 to Array.length bits - 1 do
-        if word land (1 lsl bits.(k)) <> 0 then i := !i lor (1 lsl k)
-      done;
-      Bytes.unsafe_get tbl !i <> '\000'
 
 (* ------------------------------------------------------------------ *)
 (* Dense tables *)
@@ -126,7 +119,7 @@ type t = {
   d_site_flags : int array;            (* site -> initial flag word *)
   d_site_tags : int array;             (* site -> initial tag bits *)
   d_boot_flags : int;                  (* startup token's initial flag word *)
-  d_ncores_hint : int;                 (* unused; reserved *)
+  d_max_params : int;                  (* most parameters of any task *)
 }
 
 let ntasks d = Array.length d.d_tasks
@@ -254,13 +247,6 @@ let prepare (prog : Ir.program) (profile : Profile.t) : t =
       (match Ir.flag_index (Ir.class_of prog prog.startup) "initialstate" with
       | Some bit -> 1 lsl bit
       | None -> 0);
-    d_ncores_hint = 0;
+    d_max_params =
+      Array.fold_left (fun m (t : Ir.taskinfo) -> max m (Array.length t.t_params)) 0 prog.tasks;
   }
-
-(** Dense equivalent of [Astg.astate_satisfies] on a token's state. *)
-let param_satisfies (p : dparam) ~flags ~tags =
-  eval_guard p.dp_guard flags && tags land p.dp_tagmask = p.dp_tagmask
-
-let apply_act (a : dact) ~flags ~tags =
-  ((flags lor a.da_fset) land lnot a.da_fclear,
-   (tags lor a.da_tadd) land lnot a.da_tclear)

@@ -32,6 +32,23 @@
       the bound, which lets DSA prune layouts that provably cannot
       beat the incumbent.
 
+    {b Allocation.}  The event loop allocates only what a simulated
+    execution creates: tokens, parameter-set entries, [Arrive]
+    messages, and an assembled invocation with its entry array and
+    ready-queue cell.  Everything else is reused for the whole
+    simulation: the event heap is unboxed ({!Bamboo_support.Pqueue}),
+    each core owns its one [Ready] and one [Finish] event and keeps
+    the running invocation in mutable fields, assembly searches with
+    per-simulation scratch arrays and top-level recursive functions
+    (no closures), "none" is a [-1] sentinel rather than an option,
+    and the trace is recorded into [int] arrays ({!Trace}) that grow
+    with the rows recorded.  Over the multi-start searches of
+    Tracking and KMeans, everything included, about 16 and 13 words
+    are allocated per simulated event (DESIGN.md §8); the [sim.alloc]
+    suite holds a ceiling on the simulator's share.
+    All of this state belongs to one simulation: the simulator keeps
+    nothing global or per domain.
+
     Results are bit-identical to the original list/Hashtbl
     implementation, kept as a test oracle ([test/schedsim_reference.ml]);
     the [sim.equivalence] suite diffs the two event by event on every
@@ -67,13 +84,18 @@ let dummy_entry = { e_tok = dummy_token; e_gen = max_int; e_producer = -1; e_arr
 type dcore = {
   cid : int;
   mutable busy_until : int;
-  mutable executing : bool;
+  mutable executing : bool;     (* a body is running; [run_*] describe it *)
   mutable ready_scheduled : bool;
   ready : invocation Queue.t;
   psets : entry Deque.t array array;
       (* task -> param -> deque; [||] for tasks not hosted on this core *)
-  mutable finish_payload : (invocation * int * int * int) option;
-      (* invocation, exit, event id, body start *)
+  ready_ev : sim_event;         (* this core's [Ready], pushed again and again *)
+  finish_ev : sim_event;        (* this core's [Finish] *)
+  mutable run_task : int;
+  mutable run_entries : entry array;
+  mutable run_exit : int;
+  mutable run_id : int;         (* event id *)
+  mutable run_start : int;      (* body start *)
 }
 
 type dstate = {
@@ -90,14 +112,19 @@ type dstate = {
   rare_taken : int array;        (* task -> rare exits chosen *)
   alloc_acc : float array;       (* task * nsites + site: fractional accumulators *)
   rr : int array array;          (* task -> param -> round-robin counter *)
+  chosen : int array;            (* assembly scratch: param -> chosen deque slot *)
+  chosen_e : entry array;        (* assembly scratch: param -> chosen entry *)
+  trace : Trace.t;
   mutable next_token : int;
   mutable next_event : int;
-  mutable trace : event list;
   mutable invocations : int;
   max_invocations : int;
   mutable sim_events : int;
   mutable max_busy : int; (* monotone high-water mark of simulated time *)
 }
+
+(* [max] on ints without the polymorphic comparison [Stdlib.max] makes. *)
+let imax (a : int) b = if a >= b then a else b
 
 (** All [busy_until] writes go through here so the state's high-water
     mark of simulated time stays exact — the pruning check in the main
@@ -106,9 +133,30 @@ let set_busy st core v =
   core.busy_until <- v;
   if v > st.max_busy then st.max_busy <- v
 
+(* ------------------------------------------------------------------ *)
+(* Guards and exit actions over {!Densify}'s compiled tables, evaluated
+   in this module so that the per-event calls can be inlined. *)
+
+let eval_guard (g : Densify.guard) word =
+  match g with
+  | Densify.Gtree exp -> Ir.eval_flagexp exp word
+  | Densify.Gtable { bits; tbl } ->
+      let i = ref 0 in
+      for k = 0 to Array.length bits - 1 do
+        if word land (1 lsl bits.(k)) <> 0 then i := !i lor (1 lsl k)
+      done;
+      Bytes.unsafe_get tbl !i <> '\000'
+
+(** Dense equivalent of [Astg.astate_satisfies] on a token's state. *)
+let param_satisfies (p : Densify.dparam) ~flags ~tags =
+  eval_guard p.dp_guard flags && tags land p.dp_tagmask = p.dp_tagmask
+
+(** A token's flag word and tag bits after exit action [a]. *)
+let act_flags (a : Densify.dact) flags = (flags lor a.da_fset) land lnot a.da_fclear
+let act_tags (a : Densify.dact) tags = (tags lor a.da_tadd) land lnot a.da_tclear
+
 let entry_valid_d (dp : Densify.dparam) (e : entry) =
-  e.e_gen = e.e_tok.tk_gen
-  && Densify.param_satisfies dp ~flags:e.e_tok.tk_flags ~tags:e.e_tok.tk_tags
+  e.e_gen = e.e_tok.tk_gen && param_satisfies dp ~flags:e.e_tok.tk_flags ~tags:e.e_tok.tk_tags
 
 (* ------------------------------------------------------------------ *)
 (* Routing (mirrors the runtime) *)
@@ -128,77 +176,87 @@ let route st tid pidx (tk : token) =
 (* ------------------------------------------------------------------ *)
 (* Parameter sets and invocation assembly *)
 
+(* The scans below run on every delivery and every assembly attempt,
+   and read a deque's [buf] and [len] directly rather than through
+   [Deque.get]/[Deque.is_live]: dune's default profile compiles the
+   library without cross-module inlining, and those calls cost as much
+   as the scan.  A slot holding the deque's [dummy] is a tombstone. *)
+
+(* Would [e] join the entries already chosen for parameters [0, j]?
+   Not if it is one of their tokens, or if the task is tag-unified and
+   [e] belongs to another creation group than one of them. *)
+let rec conflicts st ~tag_unified (e : entry) j =
+  j >= 0
+  && (let e' = st.chosen_e.(j) in
+      e'.e_tok == e.e_tok
+      || (tag_unified
+         && e'.e_tok.tk_group >= 0 && e.e_tok.tk_group >= 0
+         && e'.e_tok.tk_group <> e.e_tok.tk_group)
+      || conflicts st ~tag_unified e (j - 1))
+
 (** Backtracking assembly over the deques, equivalent to the reference
     path's search over eagerly filtered lists: slots are scanned in
-    insertion order, invalid entries are tombstoned on sight (validity
-    is monotone, so they can never become relevant again), and on
-    success exactly the chosen slots are deleted. *)
+    insertion order, and invalid entries are tombstoned on sight
+    (validity is monotone, so they can never become relevant again).
+    [search] fills [st.chosen]/[st.chosen_e] from parameter [pidx] on;
+    [scan] tries parameter [pidx]'s slots from [i] on. *)
+let rec search st (dt : Densify.dtask) sets pidx =
+  pidx = Array.length dt.dt_params || scan st dt sets pidx 0
+
+and scan st dt sets pidx i =
+  let set = sets.(pidx) in
+  if i >= set.Deque.len then false
+  else begin
+    let e = set.Deque.buf.(i) in
+    if e == set.Deque.dummy then scan st dt sets pidx (i + 1)
+    else if not (entry_valid_d dt.dt_params.(pidx) e) then begin
+      Deque.delete set i;
+      scan st dt sets pidx (i + 1)
+    end
+    else if conflicts st ~tag_unified:dt.dt_tag_unified e (pidx - 1) then
+      scan st dt sets pidx (i + 1)
+    else begin
+      st.chosen.(pidx) <- i;
+      st.chosen_e.(pidx) <- e;
+      search st dt sets (pidx + 1) || scan st dt sets pidx (i + 1)
+    end
+  end
+
+(** Assemble one invocation of [tid] on [core] if its parameter sets
+    allow: delete exactly the chosen slots and queue the invocation. *)
 let try_assemble st core tid =
   let dt = st.d.Densify.d_tasks.(tid) in
-  let params = dt.Densify.dt_params in
-  let nparams = Array.length params in
-  if nparams = 0 then None
-  else begin
+  let nparams = Array.length dt.Densify.dt_params in
+  nparams > 0
+  && begin
     let sets = core.psets.(tid) in
-    Array.iter Deque.maybe_compact sets;
-    let tag_unified = dt.Densify.dt_tag_unified in
-    let chosen = Array.make nparams (-1) in
-    let chosen_e = Array.make nparams dummy_entry in
-    let rec search pidx =
-      if pidx = nparams then true
-      else begin
-        let set = sets.(pidx) in
-        let dp = params.(pidx) in
-        let len = Deque.length set in
-        let rec scan i =
-          if i >= len then false
-          else if not (Deque.is_live set i) then scan (i + 1)
-          else begin
-            let e = Deque.get set i in
-            if not (entry_valid_d dp e) then begin
-              Deque.delete set i;
-              scan (i + 1)
-            end
-            else begin
-              let ok = ref true in
-              for j = 0 to pidx - 1 do
-                let e' = chosen_e.(j) in
-                if
-                  e'.e_tok == e.e_tok
-                  || (tag_unified
-                     && e'.e_tok.tk_group >= 0 && e.e_tok.tk_group >= 0
-                     && e'.e_tok.tk_group <> e.e_tok.tk_group)
-                then ok := false
-              done;
-              if not !ok then scan (i + 1)
-              else begin
-                chosen.(pidx) <- i;
-                chosen_e.(pidx) <- e;
-                if search (pidx + 1) then true
-                else begin
-                  chosen.(pidx) <- -1;
-                  chosen_e.(pidx) <- dummy_entry;
-                  scan (i + 1)
-                end
-              end
-            end
-          end
-        in
-        scan 0
-      end
-    in
-    if search 0 then begin
-      Array.iteri (fun pidx slot -> Deque.delete sets.(pidx) slot) chosen;
-      Some { iv_task = dt.Densify.dt_info; iv_entries = chosen_e }
+    for pidx = 0 to nparams - 1 do
+      Deque.maybe_compact sets.(pidx)
+    done;
+    search st dt sets 0
+    && begin
+      for pidx = 0 to nparams - 1 do
+        Deque.delete sets.(pidx) st.chosen.(pidx)
+      done;
+      Queue.add
+        { iv_task = dt.Densify.dt_info; iv_entries = Array.sub st.chosen_e 0 nparams }
+        core.ready;
+      true
     end
-    else None
   end
 
 let schedule_ready st core at =
   if not core.ready_scheduled then begin
     core.ready_scheduled <- true;
-    Pqueue.push st.events ~prio:(max at core.busy_until) (Ready core.cid)
+    Pqueue.push st.events ~prio:(imax at core.busy_until) core.ready_ev
   end
+
+(* Does [set] hold a live entry for [e]'s token at [e]'s generation?
+   (The tombstone's token is no real entry's.) *)
+let rec holds set (e : entry) i =
+  i < set.Deque.len
+  && (let e' = set.Deque.buf.(i) in
+      (e'.e_tok == e.e_tok && e'.e_gen = e.e_gen) || holds set e (i + 1))
 
 let deliver st core (e : entry) now =
   let inserted = ref false in
@@ -207,34 +265,17 @@ let deliver st core (e : entry) now =
     let { Densify.dc_task = tid; dc_pidx = pidx } = consumers.(ci) in
     if Bytes.unsafe_get st.hosted ((tid * st.ncores) + core.cid) <> '\000' then begin
       let dp = st.d.Densify.d_tasks.(tid).dt_params.(pidx) in
-      if entry_valid_d dp e then begin
-        let set = core.psets.(tid).(pidx) in
-        (* Duplicate suppression: only a currently valid entry can
-           match ([e] is valid, so its generation is the token's
-           current one), and valid entries are never tombstoned, so
-           scanning live slots sees everything the reference sees. *)
-        let dup = ref false in
-        let len = Deque.length set in
-        let i = ref 0 in
-        while (not !dup) && !i < len do
-          (if Deque.is_live set !i then begin
-             let e' = Deque.get set !i in
-             if e'.e_tok == e.e_tok && e'.e_gen = e.e_gen then dup := true
-           end);
-          incr i
-        done;
-        if not !dup then begin
-          Deque.push set e;
-          inserted := true;
-          let rec drain () =
-            match try_assemble st core tid with
-            | Some inv ->
-                Queue.add inv core.ready;
-                drain ()
-            | None -> ()
-          in
-          drain ()
-        end
+      let set = core.psets.(tid).(pidx) in
+      (* Duplicate suppression: only a currently valid entry can
+         match ([e] is valid, so its generation is the token's
+         current one), and valid entries are never tombstoned, so
+         scanning live slots sees everything the reference sees. *)
+      if entry_valid_d dp e && not (holds set e 0) then begin
+        Deque.push set e;
+        inserted := true;
+        while try_assemble st core tid do
+          ()
+        done
       end
     end
   done;
@@ -249,7 +290,7 @@ let dispatch st ~from_core ~producer (tk : token) now =
   for ci = 0 to Array.length consumers - 1 do
     let { Densify.dc_task = tid; dc_pidx = pidx } = consumers.(ci) in
     let dp = st.d.Densify.d_tasks.(tid).dt_params.(pidx) in
-    if Densify.param_satisfies dp ~flags:tk.tk_flags ~tags:tk.tk_tags then begin
+    if param_satisfies dp ~flags:tk.tk_flags ~tags:tk.tk_tags then begin
       let dst = route st tid pidx tk in
       if dst >= 0 then
         if dst = from_core then begin
@@ -286,7 +327,8 @@ let dispatch st ~from_core ~producer (tk : token) now =
     precomputed by {!Densify}; the per-task invocation and rare-group
     counters are maintained incrementally, so each call is O(1) when
     no rare exit is due and O(exits) when one is — against the
-    reference's O(exits) probability recompute per call. *)
+    reference's O(exits) probability recompute per call.  Returns -1
+    for a task that was never profiled. *)
 let choose_exit st tid =
   let dt = st.d.Densify.d_tasks.(tid) in
   let exits = dt.Densify.dt_exits in
@@ -324,28 +366,12 @@ let choose_exit st tid =
     else if dt.Densify.dt_best_nonrare >= 0 then dt.Densify.dt_best_nonrare
     else dt.Densify.dt_best_any
   in
-  if chosen = -1 then None (* task never profiled *)
-  else begin
+  if chosen >= 0 then begin
     counts.(chosen) <- counts.(chosen) + 1;
     st.inv_total.(tid) <- n + 1;
-    if exits.(chosen).Densify.dx_rare then st.rare_taken.(tid) <- rare_taken + 1;
-    Some chosen
-  end
-
-(** Expected allocations for (task, exit): deterministic integer counts
-    whose long-run average equals the profiled mean. *)
-let allocations st tid exit_id =
-  let dx = st.d.Densify.d_tasks.(tid).Densify.dt_exits.(exit_id) in
-  let out = ref [] in
-  Array.iter
-    (fun (sid, avg) ->
-      let idx = (tid * st.nsites) + sid in
-      let acc = st.alloc_acc.(idx) +. avg in
-      let k = int_of_float (floor acc) in
-      st.alloc_acc.(idx) <- acc -. float_of_int k;
-      if k > 0 then out := (sid, k) :: !out)
-    dx.Densify.dx_alloc;
-  List.rev !out
+    if exits.(chosen).Densify.dx_rare then st.rare_taken.(tid) <- rare_taken + 1
+  end;
+  chosen
 
 let new_token st sid ~group =
   let id = st.next_token in
@@ -362,103 +388,93 @@ let new_token st sid ~group =
 (* ------------------------------------------------------------------ *)
 (* Core loop *)
 
-let invocation_fresh st (inv : invocation) =
-  let params = st.d.Densify.d_tasks.(inv.iv_task.t_id).Densify.dt_params in
-  let ok = ref true in
-  Array.iteri
-    (fun pidx e -> if not (entry_valid_d params.(pidx) e) then ok := false)
-    inv.iv_entries;
-  !ok
+let rec entries_valid (params : Densify.dparam array) (entries : entry array) pidx =
+  pidx = Array.length entries
+  || (entry_valid_d params.(pidx) entries.(pidx) && entries_valid params entries (pidx + 1))
 
 let core_ready st core now =
   core.ready_scheduled <- false;
   if not core.executing then begin
-    let t = ref (max now core.busy_until) in
+    let t = ref (imax now core.busy_until) in
     let n = Queue.length core.ready in
-    let started = ref false in
     let i = ref 0 in
-    while (not !started) && !i < n do
+    (* At most the [n] invocations queued on entry: a stale one's
+       entries are re-delivered and may queue new ones behind them. *)
+    while (not core.executing) && !i < n do
       incr i;
-      match Queue.take_opt core.ready with
-      | None -> i := n
-      | Some inv ->
-          let tid = inv.iv_task.t_id in
-          let params = st.d.Densify.d_tasks.(tid).Densify.dt_params in
-          if not (invocation_fresh st inv) then
-            Array.iteri
-              (fun pidx e -> if entry_valid_d params.(pidx) e then deliver st core e !t)
-              inv.iv_entries
-          else begin
-            t := !t + Cost.dispatch + (Cost.lock_op * Array.length inv.iv_entries);
-            match choose_exit st tid with
-            | None ->
-                (* Unprofiled task: consume entries with no effect. *)
-                ()
-            | Some exit_id ->
-                st.invocations <- st.invocations + 1;
-                if st.invocations > st.max_invocations then
-                  raise (Sim_overrun "simulation invocation budget exceeded");
-                let dur = st.d.Densify.d_tasks.(tid).Densify.dt_exits.(exit_id).Densify.dx_dur in
-                let finish = !t + dur in
-                let ev_id = st.next_event in
-                st.next_event <- ev_id + 1;
-                core.executing <- true;
-                core.finish_payload <- Some (inv, exit_id, ev_id, !t);
-                set_busy st core finish;
-                started := true;
-                Pqueue.push st.events ~prio:finish (Finish core.cid)
-          end
+      let inv = Queue.take core.ready in
+      let tid = inv.iv_task.t_id in
+      let params = st.d.Densify.d_tasks.(tid).Densify.dt_params in
+      let entries = inv.iv_entries in
+      if not (entries_valid params entries 0) then begin
+        for pidx = 0 to Array.length entries - 1 do
+          if entry_valid_d params.(pidx) entries.(pidx) then deliver st core entries.(pidx) !t
+        done
+      end
+      else begin
+        t := !t + Cost.dispatch + (Cost.lock_op * Array.length entries);
+        let exit_id = choose_exit st tid in
+        (* An unprofiled task consumes its entries with no effect. *)
+        if exit_id >= 0 then begin
+          st.invocations <- st.invocations + 1;
+          if st.invocations > st.max_invocations then
+            raise (Sim_overrun "simulation invocation budget exceeded");
+          let dur = st.d.Densify.d_tasks.(tid).Densify.dt_exits.(exit_id).Densify.dx_dur in
+          let finish = !t + dur in
+          let ev_id = st.next_event in
+          st.next_event <- ev_id + 1;
+          core.executing <- true;
+          core.run_task <- tid;
+          core.run_entries <- entries;
+          core.run_exit <- exit_id;
+          core.run_id <- ev_id;
+          core.run_start <- !t;
+          set_busy st core finish;
+          Pqueue.push st.events ~prio:finish core.finish_ev
+        end
+      end
     done;
-    if not !started then set_busy st core (max core.busy_until !t)
+    if not core.executing then set_busy st core (imax core.busy_until !t)
   end
 
 let core_finish st core now =
-  match core.finish_payload with
-  | None -> ()
-  | Some (inv, exit_id, ev_id, body_start) ->
-      core.finish_payload <- None;
-      core.executing <- false;
-      let tid = inv.iv_task.t_id in
-      let dx = st.d.Densify.d_tasks.(tid).Densify.dt_exits.(exit_id) in
-      (* Record the trace event. *)
-      let ready = Array.fold_left (fun acc e -> max acc e.e_arrival) 0 inv.iv_entries in
-      st.trace <-
-        {
-          ev_id;
-          ev_core = core.cid;
-          ev_task = tid;
-          ev_exit = exit_id;
-          ev_ready = ready;
-          ev_start = body_start;
-          ev_finish = now;
-          ev_inputs = Array.map (fun e -> (e.e_producer, e.e_arrival)) inv.iv_entries;
-        }
-        :: st.trace;
-      (* Apply abstract state transitions to consumed tokens. *)
-      Array.iteri
-        (fun pidx e ->
-          let tk = e.e_tok in
-          let flags, tags =
-            Densify.apply_act dx.Densify.dx_actions.(pidx) ~flags:tk.tk_flags ~tags:tk.tk_tags
-          in
-          tk.tk_flags <- flags;
-          tk.tk_tags <- tags;
-          tk.tk_gen <- tk.tk_gen + 1)
-        inv.iv_entries;
-      let t = ref (now + Cost.flag_update) in
-      Array.iter
-        (fun e -> t := !t + dispatch st ~from_core:core.cid ~producer:ev_id e.e_tok !t)
-        inv.iv_entries;
-      (* Emit newly allocated tokens. *)
-      List.iter
-        (fun (sid, k) ->
-          for _ = 1 to k do
-            let tk = new_token st sid ~group:ev_id in
-            t := !t + dispatch st ~from_core:core.cid ~producer:ev_id tk !t
-          done)
-        (allocations st tid exit_id);
-      set_busy st core !t;
-      schedule_ready st core !t
+  if core.executing then begin
+    core.executing <- false;
+    let tid = core.run_task and entries = core.run_entries in
+    let exit_id = core.run_exit and ev_id = core.run_id in
+    let dx = st.d.Densify.d_tasks.(tid).Densify.dt_exits.(exit_id) in
+    Trace.record st.trace ~id:ev_id ~core:core.cid ~task:tid ~exit:exit_id
+      ~start:core.run_start ~finish:now entries;
+    (* Apply abstract state transitions to consumed tokens. *)
+    for pidx = 0 to Array.length entries - 1 do
+      let tk = entries.(pidx).e_tok in
+      let act = dx.Densify.dx_actions.(pidx) in
+      tk.tk_flags <- act_flags act tk.tk_flags;
+      tk.tk_tags <- act_tags act tk.tk_tags;
+      tk.tk_gen <- tk.tk_gen + 1
+    done;
+    let t = ref (now + Cost.flag_update) in
+    for pidx = 0 to Array.length entries - 1 do
+      t := !t + dispatch st ~from_core:core.cid ~producer:ev_id entries.(pidx).e_tok !t
+    done;
+    (* Emit newly allocated tokens: per site, the whole part of its
+       fractional accumulator, so long-run counts match the profiled
+       mean. *)
+    let alloc = dx.Densify.dx_alloc in
+    for a = 0 to Array.length alloc - 1 do
+      let sid, avg = alloc.(a) in
+      let idx = (tid * st.nsites) + sid in
+      let acc = st.alloc_acc.(idx) +. avg in
+      let k = int_of_float (floor acc) in
+      st.alloc_acc.(idx) <- acc -. float_of_int k;
+      for _ = 1 to k do
+        let tk = new_token st sid ~group:ev_id in
+        t := !t + dispatch st ~from_core:core.cid ~producer:ev_id tk !t
+      done
+    done;
+    set_busy st core !t;
+    schedule_ready st core !t
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Entry points *)
@@ -491,7 +507,13 @@ let simulate_prepared ?cycle_bound ?(max_invocations = 500_000) (d : prepared)
                 (Array.length d.Densify.d_tasks.(tid).Densify.dt_params)
                 (fun _ -> Deque.create ~dummy:dummy_entry)
             else [||]);
-      finish_payload = None;
+      ready_ev = Ready cid;
+      finish_ev = Finish cid;
+      run_task = -1;
+      run_entries = [||];
+      run_exit = -1;
+      run_id = -1;
+      run_start = 0;
     }
   in
   let st =
@@ -515,9 +537,11 @@ let simulate_prepared ?cycle_bound ?(max_invocations = 500_000) (d : prepared)
         Array.map
           (fun (dt : Densify.dtask) -> Array.make (Array.length dt.Densify.dt_params) 0)
           d.Densify.d_tasks;
+      chosen = Array.make d.Densify.d_max_params (-1);
+      chosen_e = Array.make d.Densify.d_max_params dummy_entry;
+      trace = Trace.create ~max_inputs:d.Densify.d_max_params;
       next_token = 0;
       next_event = 0;
-      trace = [];
       invocations = 0;
       max_invocations;
       sim_events = 0;
@@ -539,23 +563,20 @@ let simulate_prepared ?cycle_bound ?(max_invocations = 500_000) (d : prepared)
   ignore (dispatch st ~from_core:0 ~producer:(-1) boot 0);
   let bound = match cycle_bound with Some b -> b | None -> max_int in
   let pruned = ref false in
-  let rec loop () =
-    match Pqueue.pop st.events with
-    | None -> ()
-    | Some (now, ev) ->
-        st.sim_events <- st.sim_events + 1;
-        (match ev with
-        | Arrive (c, e) -> deliver st st.cores.(c) e now
-        | Ready c -> core_ready st st.cores.(c) now
-        | Finish c -> core_finish st st.cores.(c) now);
-        if st.max_busy > bound then pruned := true else loop ()
-  in
-  loop ();
+  while (not !pruned) && not (Pqueue.is_empty st.events) do
+    let now = Pqueue.min_prio st.events in
+    st.sim_events <- st.sim_events + 1;
+    (match Pqueue.take st.events with
+    | Arrive (c, e) -> deliver st st.cores.(c) e now
+    | Ready c -> core_ready st st.cores.(c) now
+    | Finish c -> core_finish st st.cores.(c) now);
+    if st.max_busy > bound then pruned := true
+  done;
   let total = Array.fold_left (fun acc c -> max acc c.busy_until) 0 st.cores in
   {
     s_total_cycles = total;
     s_invocations = st.invocations;
-    s_events = Array.of_list (List.rev st.trace);
+    s_trace = st.trace;
     s_per_core_busy = Array.map (fun c -> c.busy_until) st.cores;
     s_status = (if !pruned then Bounded bound else Complete);
     s_sim_events = st.sim_events;

@@ -22,7 +22,17 @@
     next [push]/[compact], which lets a backtracking search record
     candidate slots and delete exactly the chosen ones.  The [dummy]
     value must never be pushed: physical equality with it is what
-    marks a tombstone. *)
+    marks a tombstone.
+
+    [Schedsim]'s assembly and deduplication scans ([scan], [holds])
+    read [buf], [len] and [dummy] directly instead of calling [get]
+    per slot, because the library is compiled with [-opaque] and no
+    call into this module is inlined.  They rely on three things: the
+    slots in use are [buf.(0)] to [buf.(len - 1)], in insertion
+    order; [delete] only overwrites a slot with [dummy] and moves
+    nothing; and only [push], [compact], [maybe_compact] and [clear]
+    change [len] or move slots, none of which a scan calls.  A change
+    to this layout must change those scans with it. *)
 
 type 'a t = {
   mutable buf : 'a array;

@@ -22,7 +22,10 @@
     whole search is bit-identical for any [jobs] count.  Each scored
     layout's critical-path {!Evaluator.direction} comes back from the
     same fan-out, so planning a round analyses nothing; it only
-    generates and deduplicates neighbours.  A score is always paired
+    generates and deduplicates neighbours.  Every layout a chain holds
+    carries the canonical key it was deduplicated by, and the evaluator
+    takes that key instead of recomputing it, so a key is built once
+    per generated layout, on the pool.  A score is always paired
     with the layout that was simulated ({!scored}): the cache answers
     an isomorphic requester with its representative, whose core ids the
     mesh distances and the direction refer to, so [best_cycles] is
@@ -224,12 +227,16 @@ let neighbours cfg rng prog (d : Evaluator.direction) =
 
 (** One independent annealing chain.  All of a chain's randomness
     comes from [ch_rng] (split from the root seed on the calling
-    domain), all of its scores from the shared evaluator. *)
+    domain), all of its scores from the shared evaluator.  Every layout
+    a chain holds travels with its canonical key, computed once when
+    the layout is deduplicated and handed to the evaluator from then
+    on; a scored layout is [(cycles, layout, key)], so ordering by the
+    tuple still breaks ties on the layout. *)
 type chain = {
   ch_rng : Prng.t;
-  mutable ch_kept : (int * Layout.t) list;  (* scored survivors, sorted best-first *)
-  mutable ch_pending : Layout.t list;       (* layouts awaiting this round's scores *)
-  mutable ch_best : (int * Layout.t) option; (* incumbent across restarts *)
+  mutable ch_kept : (int * Layout.t * string) list; (* scored survivors, sorted best-first *)
+  mutable ch_pending : (string * Layout.t) list;    (* layouts awaiting this round's scores *)
+  mutable ch_best : (int * Layout.t * string) option; (* incumbent across restarts *)
   mutable ch_iter : int;                    (* rounds advanced *)
   mutable ch_stall : int;                   (* consecutive rounds without improvement *)
   mutable ch_shake : bool;                  (* plateaued: diversify the next round *)
@@ -254,7 +261,7 @@ let bound_slack = 1.25
     trying to escape. *)
 let request_bound ~incumbent ch =
   match ch.ch_kept with
-  | (c, _) :: _ when c < max_int ->
+  | (c, _, _) :: _ when c < max_int ->
       let g = bound_slack *. float_of_int incumbent in
       Some (if g < float_of_int c then int_of_float g else c)
   | _ -> None
@@ -276,16 +283,29 @@ let continue_prob cfg ~tempering ch =
   else
     min 0.98 (cfg.continue_prob +. ((0.95 -. cfg.continue_prob) *. temperature cfg ~tempering ch))
 
+(** [layouts] keyed, in order, minus those whose key is in [seen] or
+    repeats an earlier one; every key kept is added to [seen]. *)
+let unseen seen layouts =
+  List.filter_map
+    (fun l ->
+      let key = Layout.canonical_key l in
+      if Hashtbl.mem seen key then None
+      else begin
+        Hashtbl.replace seen key ();
+        Some (key, l)
+      end)
+    layouts
+
 (** Build the next round's requests from the scored pool: probabilistic
     pruning, then critical-path-directed neighbours of the survivors
     (plus shakes of the pool's best when the chain just plateaued). *)
-let plan_round cfg ~tempering ev prog ch (pool : (int * Layout.t) list) =
+let plan_round cfg ~tempering ev prog ch (pool : (int * Layout.t * string) list) =
   let keep_bad = keep_bad_prob cfg ~tempering ch in
-  let sorted = List.sort (fun (a, _) (b, _) -> compare a b) pool in
+  let sorted = List.sort (fun (a, _, _) (b, _, _) -> compare a b) pool in
   let n = List.length sorted in
   let kept =
     List.filteri
-      (fun i (_, _) ->
+      (fun i _ ->
         let p = if i < (n + 1) / 2 then cfg.keep_good_prob else keep_bad in
         i = 0 || Prng.float ch.ch_rng 1.0 < p)
       sorted
@@ -296,8 +316,8 @@ let plan_round cfg ~tempering ev prog ch (pool : (int * Layout.t) list) =
      domain neither re-simulates nor analyses anything. *)
   let news =
     List.concat_map
-      (fun (_, l) ->
-        match Evaluator.result ev l with
+      (fun (_, l, key) ->
+        match Evaluator.result ~key ev l with
         | None -> []   (* overrun or pruned: no complete trace to direct from *)
         | Some d -> neighbours cfg ch.ch_rng prog d)
       kept
@@ -308,27 +328,16 @@ let plan_round cfg ~tempering ev prog ch (pool : (int * Layout.t) list) =
   let shakes =
     if ch.ch_shake then
       match kept with
-      | (_, best) :: _ -> List.init 4 (fun _ -> shake ch.ch_rng prog best)
+      | (_, best, _) :: _ -> List.init 4 (fun _ -> shake ch.ch_rng prog best)
       | [] -> []
     else []
   in
   ch.ch_shake <- false;
   (* Deduplicate against the surviving pool. *)
   let seen = Hashtbl.create 64 in
-  List.iter (fun (_, l) -> Hashtbl.replace seen (Layout.canonical_key l) ()) kept;
-  let fresh =
-    List.filter
-      (fun l ->
-        let key = Layout.canonical_key l in
-        if Hashtbl.mem seen key then false
-        else begin
-          Hashtbl.replace seen key ();
-          true
-        end)
-      (news @ shakes)
-  in
+  List.iter (fun (_, _, key) -> Hashtbl.replace seen key ()) kept;
   ch.ch_kept <- kept;
-  ch.ch_pending <- fresh
+  ch.ch_pending <- unseen seen (news @ shakes)
 
 (** Abandon the pool and re-seed from [reseed].  The incumbent stays
     in [ch_best] but deliberately {e not} in the pool: the fresh basin
@@ -338,33 +347,24 @@ let restart_chain cfg ~reseed prog ch =
   ch.ch_restarts <- ch.ch_restarts + 1;
   ch.ch_stall <- 0;
   ch.ch_shake <- false;
-  let incumbent = match ch.ch_best with Some (_, l) -> l | None -> assert false in
+  let incumbent, incumbent_key =
+    match ch.ch_best with Some (_, l, key) -> (l, key) | None -> assert false
+  in
   let fresh =
     match reseed ch.ch_rng with
     | [] -> List.init (max 1 cfg.initial_candidates) (fun _ -> heavy_shake ch.ch_rng prog incumbent)
     | ls -> ls
   in
   let seen = Hashtbl.create 16 in
-  Hashtbl.replace seen (Layout.canonical_key incumbent) ();
-  let fresh =
-    List.filter
-      (fun l ->
-        let key = Layout.canonical_key l in
-        if Hashtbl.mem seen key then false
-        else begin
-          Hashtbl.replace seen key ();
-          true
-        end)
-      fresh
-  in
+  Hashtbl.replace seen incumbent_key ();
   ch.ch_kept <- [];
-  ch.ch_pending <- fresh
+  ch.ch_pending <- unseen seen fresh
 
 (** Absorb one round of scores and decide the chain's next move:
     update the incumbent, stop at the iteration budget or a lost
     plateau draw, restart after [restart_stall] barren rounds, or plan
     the next round of neighbours. *)
-let advance cfg ~tempering ~reseed ev prog ch (scored : (int * Layout.t) list) =
+let advance cfg ~tempering ~reseed ev prog ch (scored : (int * Layout.t * string) list) =
   let pool = ch.ch_kept @ scored in
   match pool with
   | [] ->
@@ -372,10 +372,10 @@ let advance cfg ~tempering ~reseed ev prog ch (scored : (int * Layout.t) list) =
          valid fresh layout.  Retire the chain; its incumbent stands. *)
       ch.ch_live <- false
   | hd :: tl -> (
-      let round_best = List.fold_left min hd tl in
+      let ((round_cycles, _, _) as round_best) = List.fold_left min hd tl in
       (match ch.ch_best with
       | None -> ch.ch_best <- Some round_best (* seed round: no plateau logic yet *)
-      | Some (bc, _) when fst round_best < bc ->
+      | Some (bc, _, _) when round_cycles < bc ->
           ch.ch_best <- Some round_best;
           ch.ch_stall <- 0
       | Some _ ->
@@ -397,10 +397,12 @@ let advance cfg ~tempering ~reseed ev prog ch (scored : (int * Layout.t) list) =
 (** A request's score, paired with the layout that was simulated: a
     cache hit for an isomorphic requester answers with the cached
     layout, so the pair's score is exactly that layout's simulation.
-    Overruns and prunes score [max_int] against the requester. *)
-let scored requested = function
-  | Evaluator.Full d -> (d.d_total_cycles, d.d_layout)
-  | Evaluator.Overrun | Evaluator.Pruned _ -> (max_int, requested)
+    Overruns and prunes score [max_int] against the requester.  The
+    requester's key is the simulated layout's key too: the cache
+    matched them by it. *)
+let scored (key, requested) = function
+  | Evaluator.Full d -> (d.d_total_cycles, d.d_layout, key)
+  | Evaluator.Overrun | Evaluator.Pruned _ -> (max_int, requested, key)
 
 (** Optimize starting from [seeds] (already-generated candidate
     layouts).  Returns the best layout found and its estimated
@@ -449,7 +451,7 @@ let optimize ?(config = default_config) ?(jobs = 1) ?evaluator ?(starts = 1)
     {
       ch_rng = rng;
       ch_kept = [];
-      ch_pending = pending;
+      ch_pending = List.map (fun l -> (Layout.canonical_key l, l)) pending;
       ch_best = None;
       ch_iter = 0;
       ch_stall = 0;
@@ -466,11 +468,13 @@ let optimize ?(config = default_config) ?(jobs = 1) ?evaluator ?(starts = 1)
           match (acc, ch.ch_best) with
           | None, b -> b
           | b, None -> b
-          | Some (ac, _), Some (bc, _) -> if bc < ac then ch.ch_best else acc)
+          | Some (ac, _, _), Some (bc, _, _) -> if bc < ac then ch.ch_best else acc)
         None chains
     in
     let best_cycles, best =
-      match best with Some (c, l) -> (c, l) | None -> assert false (* seed round always scores *)
+      match best with
+      | Some (c, l, _) -> (c, l)
+      | None -> assert false (* seed round always scores *)
     in
     if owns_ev then Evaluator.shutdown ev;
     {
@@ -496,14 +500,14 @@ let optimize ?(config = default_config) ?(jobs = 1) ?evaluator ?(starts = 1)
       let live = List.filter (fun ch -> ch.ch_live) (Array.to_list chains) in
       let incumbent =
         Array.fold_left
-          (fun acc ch -> match ch.ch_best with Some (c, _) -> min acc c | None -> acc)
+          (fun acc ch -> match ch.ch_best with Some (c, _, _) -> min acc c | None -> acc)
           max_int chains
       in
       let reqs =
         List.concat_map
           (fun ch ->
             let bound = request_bound ~incumbent ch in
-            List.map (fun l -> (l, bound)) ch.ch_pending)
+            List.map (fun (key, l) -> (key, l, bound)) ch.ch_pending)
           live
       in
       let answers = Array.of_list (Evaluator.batch_bounded ev reqs) in
@@ -512,7 +516,7 @@ let optimize ?(config = default_config) ?(jobs = 1) ?evaluator ?(starts = 1)
         Array.of_list
           (List.map
              (fun ch ->
-               let pairs = List.mapi (fun i l -> scored l answers.(!next + i)) ch.ch_pending in
+               let pairs = List.mapi (fun i req -> scored req answers.(!next + i)) ch.ch_pending in
                next := !next + List.length pairs;
                ch.ch_pending <- [];
                (ch, pairs))

@@ -13,12 +13,16 @@
       [Layout.canonical_key] in a {!Bamboo_support.Sharded_table} —
       key-hash-striped mutex shards, so worker domains insert each
       result the moment its simulation completes instead of handing it
-      back for a serial fill loop on the calling domain.  The worker
-      that completes a simulation also runs its critical-path pass
-      ({!Bamboo_sim.Critpath}), and the cache keeps only what DSA reads
-      — the {!direction}: the simulated layout, total cycles, per-core
-      busy cycles and the opportunity list, never the trace — so
-      directing a kept layout costs the calling domain neither a
+      back for a serial fill loop on the calling domain.  Callers pass
+      each layout's key with it ([batch_bounded]'s requests,
+      [result]'s [~key]): DSA computes a key once, on the pool, when it
+      deduplicates a chain's neighbours, so the serial part of a round
+      builds none.  The worker that completes a simulation also runs
+      its critical-path pass ({!Bamboo_sim.Critpath}) straight over the
+      simulator's [int]-array trace, and the cache keeps only what DSA
+      reads — the {!direction}: the simulated layout, total cycles,
+      per-core busy cycles and the opportunity list, never the trace —
+      so directing a kept layout costs the calling domain neither a
       simulation nor an analysis.  The
       [evaluated]/[cache_hits]/[pruned]/[sim_events] counters live
       per-shard and merge on read; each fresh key is simulated exactly
@@ -174,24 +178,25 @@ type group = {
 }
 
 (** [batch_bounded t reqs] returns what is known about every
-    [(layout, bound)] request, in order.  Requests are deduplicated by
-    canonical key in a single pass (the key is computed once per
-    layout); duplicate keys merge to the loosest requested bound.
-    Keys without a usable cache entry are simulated in parallel on the
-    pool, each worker inserting its result (and bumping the per-shard
-    counters) the moment its simulation completes; everything else is
-    a cache hit, filled positionally without a second lookup. *)
-let batch_bounded t (reqs : (Layout.t * int option) list) : cached list =
+    [(key, layout, bound)] request, in order.  [key] must be
+    [Layout.canonical_key layout]: callers that deduplicate by key
+    already hold it, so the evaluator never recomputes it.  Requests
+    are deduplicated by key in a single pass; duplicate keys merge to
+    the loosest requested bound.  Keys without a usable cache entry
+    are simulated in parallel on the pool, each worker inserting its
+    result (and bumping the per-shard counters) the moment its
+    simulation completes; everything else is a cache hit, filled
+    positionally without a second lookup. *)
+let batch_bounded t (reqs : (string * Layout.t * int option) list) : cached list =
   let reqs = Array.of_list reqs in
   let n = Array.length reqs in
   let responses = Array.make n None in
-  (* Single pass: hoist the canonical key once per layout, then either
-     answer from the cache, join an in-flight group, or open one. *)
+  (* Single pass: either answer from the cache, join an in-flight
+     group, or open one. *)
   let groups_tbl : (string, group) Hashtbl.t = Hashtbl.create 16 in
   let groups = ref [] in
   for i = 0 to n - 1 do
-    let layout, bound = reqs.(i) in
-    let key = Layout.canonical_key layout in
+    let key, layout, bound = reqs.(i) in
     match Hashtbl.find_opt groups_tbl key with
     | Some g ->
         g.g_positions <- i :: g.g_positions;
@@ -255,7 +260,7 @@ let batch_bounded t (reqs : (Layout.t * int option) list) : cached list =
 (** [batch t layouts] — every request under one shared [cycle_bound]
     (or unbounded). *)
 let batch ?cycle_bound t (layouts : Layout.t list) : cached list =
-  batch_bounded t (List.map (fun l -> (l, cycle_bound)) layouts)
+  batch_bounded t (List.map (fun l -> (Layout.canonical_key l, l, cycle_bound)) layouts)
 
 (** [result t layout] — the direction of [layout] if a complete
     simulation is available: [None] when the layout overran, or when
@@ -264,9 +269,9 @@ let batch ?cycle_bound t (layouts : Layout.t list) : cached list =
     complete trace, and a layout pruned against an incumbent is
     already known not to be worth the full price.  A miss goes through
     {!Sharded_table.compute}, so racing callers of the same layout
-    simulate it exactly once. *)
-let result t layout : direction option =
-  let key = Layout.canonical_key layout in
+    simulate it exactly once.  [key] must be
+    [Layout.canonical_key layout]. *)
+let result t ~key layout : direction option =
   let events = ref 0 in
   let c, computed =
     Sharded.compute t.cache key (fun () ->

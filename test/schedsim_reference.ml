@@ -2,9 +2,11 @@
     list/Hashtbl implementation of §4.4, kept verbatim as the
     equivalence oracle for [Schedsim]'s dense fast path.
 
-    The two implementations must produce bit-identical
-    [Sim_types.result] values for the same inputs; the [sim.equivalence]
-    suite diffs them event by event on every benchmark.
+    The two implementations must produce bit-identical results for the
+    same inputs; the [sim.equivalence] suite diffs them event by event
+    on every benchmark.  This simulator builds its trace as [event]
+    records itself, not through the dense path's [Sim_types.Trace]
+    recorder, so that comparison checks the recorder as well.
 
     Per-event cost here is dominated by the [entry list ref] parameter
     sets ([@ [e]] appends, [List.filter] sweeps) and Hashtbl lookups
@@ -20,6 +22,17 @@ module Profile = Bamboo_profile.Profile
 module Astg = Bamboo_analysis.Astg
 module Pqueue = Bamboo_support.Pqueue
 open Bamboo_sim.Sim_types
+
+(** [Sim_types.result] with the trace as event records, in completion
+    order. *)
+type result = {
+  s_total_cycles : int;
+  s_invocations : int;
+  s_events : event array;
+  s_per_core_busy : int array;
+  s_status : status;
+  s_sim_events : int;
+}
 
 type core = {
   cid : int;
@@ -503,18 +516,15 @@ let simulate ?cycle_bound ?(max_invocations = 500_000) (prog : Ir.program)
   ignore (dispatch st ~from_core:0 ~producer:(-1) boot 0);
   let bound = match cycle_bound with Some b -> b | None -> max_int in
   let pruned = ref false in
-  let rec loop () =
-    match Pqueue.pop st.events with
-    | None -> ()
-    | Some (now, ev) ->
-        st.sim_events <- st.sim_events + 1;
-        (match ev with
-        | Arrive (c, e) -> deliver st st.cores.(c) e now
-        | Ready c -> core_ready st st.cores.(c) now
-        | Finish c -> core_finish st st.cores.(c) now);
-        if st.max_busy > bound then pruned := true else loop ()
-  in
-  loop ();
+  while (not !pruned) && not (Pqueue.is_empty st.events) do
+    let now = Pqueue.min_prio st.events in
+    st.sim_events <- st.sim_events + 1;
+    (match Pqueue.take st.events with
+    | Arrive (c, e) -> deliver st st.cores.(c) e now
+    | Ready c -> core_ready st st.cores.(c) now
+    | Finish c -> core_finish st st.cores.(c) now);
+    if st.max_busy > bound then pruned := true
+  done;
   let total = Array.fold_left (fun acc c -> max acc c.busy_until) 0 st.cores in
   {
     s_total_cycles = total;

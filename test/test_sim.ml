@@ -110,11 +110,12 @@ let test_critpath_basics () =
   let r = Schedsim.simulate prog prof layout in
   let cp = Critpath.analyse r in
   let last_finish =
-    Array.fold_left (fun acc (e : Schedsim.event) -> max acc e.ev_finish) 0 r.s_events
+    Array.fold_left (fun acc (e : Schedsim.event) -> max acc e.ev_finish) 0 (Schedsim.events r)
   in
   Helpers.check_int "path ends at the last event" last_finish cp.length;
   Helpers.check_bool "path within the makespan" true (cp.length <= r.s_total_cycles);
-  Helpers.check_bool "path nonempty" true (cp.path <> []);
+  let path = Critpath.path cp in
+  Helpers.check_bool "path nonempty" true (path <> []);
   (* the path must be chronologically ordered *)
   let rec ordered = function
     | a :: (b :: _ as rest) ->
@@ -122,10 +123,10 @@ let test_critpath_basics () =
         && ordered rest
     | _ -> true
   in
-  Helpers.check_bool "chronological" true (ordered cp.path);
+  Helpers.check_bool "chronological" true (ordered path);
   (* single core: everything is resource- or data-dependent in one chain *)
   Helpers.check_bool "starts at the beginning" true
-    ((List.hd cp.path).cp_event.Schedsim.ev_start >= 0)
+    ((List.hd path).cp_event.Schedsim.ev_start >= 0)
 
 let test_critpath_opportunities () =
   (* one core hosting everything while others idle: the path should
@@ -143,10 +144,11 @@ let string_of_opportunity = function
   | Critpath.Migrate_delayed (t, c) -> Printf.sprintf "migrate %d@%d" t c
   | Critpath.Move_non_key (t, c) -> Printf.sprintf "move %d@%d" t c
 
-(* The linear opportunity pass against the quadratic oracle it
-   replaced, on every registry program's candidate layouts for three
-   machines plus heavy shakes of each: long critical paths (thousands
-   of steps on KMeans) with both kinds of opportunity. *)
+(* The critical-path walk over the int-array trace and the linear
+   opportunity pass against the oracles they replaced, on every
+   registry program's candidate layouts for three machines plus heavy
+   shakes of each: long critical paths (thousands of steps on KMeans)
+   with both kinds of opportunity. *)
 let test_critpath_matches_oracle () =
   let compared = ref 0 and directed = ref 0 and migrations = ref 0 and moves = ref 0 in
   List.iter
@@ -167,6 +169,10 @@ let test_critpath_matches_oracle () =
               | exception Schedsim.Sim_overrun _ -> ()
               | r ->
                   let cp = Critpath.analyse r in
+                  let oracle_path, oracle_length = Critpath_oracle.analyse r in
+                  if Critpath.path cp <> oracle_path || cp.length <> oracle_length then
+                    Alcotest.failf "%s on %s, layout %d: critical path differs from the oracle's"
+                      b.b_name machine.name i;
                   let linear = Critpath.opportunities cp in
                   let oracle = Critpath_oracle.opportunities cp in
                   if linear <> oracle then
@@ -218,6 +224,61 @@ let test_sim_unprofiled_task_is_noop () =
   let r = Schedsim.simulate prog prof layout in
   Helpers.check_int "only profiled tasks simulated" 4 r.s_invocations
 
+(* The trace the simulator records, checked on its own rather than
+   against the reference: one row per invocation, ids dense, rows in
+   completion order, each core's rows one after another, every row's
+   ready time the latest arrival of its inputs, and every input's
+   producer the boot (-1) or an earlier row that finished by the
+   input's arrival. *)
+let test_trace_rows () =
+  let prog, _, prof =
+    Helpers.registry_profiled (Bamboo_benchmarks.Registry.find "KMeans")
+  in
+  let _, _, seeds =
+    Bamboo.Candidates.generate ~n:2 ~seed:1 prog (Bamboo.analyse prog).cstg prof
+      Machine.tilepro64
+  in
+  let r = Schedsim.simulate prog prof (List.hd seeds) in
+  let tr = r.s_trace in
+  let n = Schedsim.Trace.length tr in
+  Helpers.check_int "one row per invocation" r.s_invocations n;
+  let seen = Array.make n false in
+  let row_of = Array.make n (-1) in
+  let core_free = Array.make (Array.length r.s_per_core_busy) 0 in
+  let last_finish = ref 0 in
+  for row = 0 to n - 1 do
+    let e = Schedsim.Trace.event tr row in
+    if e.ev_id < 0 || e.ev_id >= n || seen.(e.ev_id) then
+      Alcotest.failf "row %d: event id %d repeated or out of range" row e.ev_id;
+    seen.(e.ev_id) <- true;
+    row_of.(e.ev_id) <- row;
+    if e.ev_finish < !last_finish then Alcotest.failf "row %d finishes out of order" row;
+    last_finish := e.ev_finish;
+    if e.ev_start < core_free.(e.ev_core) || e.ev_finish < e.ev_start then
+      Alcotest.failf "row %d overlaps the previous row on core %d" row e.ev_core;
+    core_free.(e.ev_core) <- e.ev_finish;
+    Helpers.check_int "arity" (Array.length prog.tasks.(e.ev_task).t_params)
+      (Array.length e.ev_inputs);
+    Helpers.check_int "ready is the latest arrival"
+      (Array.fold_left (fun m (_, a) -> max m a) 0 e.ev_inputs)
+      e.ev_ready;
+    Helpers.check_bool "starts after its inputs arrive" true (e.ev_start >= e.ev_ready);
+    Array.iteri
+      (fun i (p, arrival) ->
+        if p <> -1 then begin
+          if p < 0 || p >= n || row_of.(p) < 0 then
+            Alcotest.failf "row %d input %d: producer %d is no earlier row" row i p;
+          if Schedsim.Trace.finish tr row_of.(p) > arrival then
+            Alcotest.failf "row %d input %d arrives before its producer %d finishes" row i p
+        end)
+      e.ev_inputs
+  done;
+  Array.iteri
+    (fun c free ->
+      Helpers.check_bool "a core's rows end before it goes idle" true
+        (free <= r.s_per_core_busy.(c)))
+    core_free
+
 (* ------------------------------------------------------------------ *)
 (* Cycle-bound (pruning) semantics *)
 
@@ -261,15 +322,17 @@ let check_event name i (a : Schedsim.event) (b : Schedsim.event) =
   if a.ev_inputs <> b.ev_inputs then
     Alcotest.failf "%s: event %d: input edges differ" name i
 
-let check_results_equal name (a : Schedsim.result) (b : Schedsim.result) =
+(* The reference's own event records against the rows the dense
+   simulator recorded. *)
+let check_results_equal name (a : Schedsim_reference.result) (b : Schedsim.result) =
   Helpers.check_int (name ^ ": total cycles") a.s_total_cycles b.s_total_cycles;
   Helpers.check_int (name ^ ": invocations") a.s_invocations b.s_invocations;
   Helpers.check_int (name ^ ": sim events") a.s_sim_events b.s_sim_events;
   Helpers.check_bool (name ^ ": status") true (a.s_status = b.s_status);
   Alcotest.(check (array int)) (name ^ ": per-core busy") a.s_per_core_busy b.s_per_core_busy;
-  Helpers.check_int (name ^ ": trace length") (Array.length a.s_events)
-    (Array.length b.s_events);
-  Array.iteri (fun i ea -> check_event name i ea b.s_events.(i)) a.s_events
+  let eb = Schedsim.events b in
+  Helpers.check_int (name ^ ": trace length") (Array.length a.s_events) (Array.length eb);
+  Array.iteri (fun i e -> check_event name i e eb.(i)) a.s_events
 
 (** Simulate every layout with both engines — unbounded and bounded —
     and require identical results. *)
@@ -297,6 +360,50 @@ let check_equivalence (b : Bamboo_benchmarks.Bench_def.t) =
       check_results_equal (name ^ " (bounded)") p_ref p_dense)
     layouts
 
+(* ------------------------------------------------------------------ *)
+(* Allocation per simulated event *)
+
+(* Minor-heap words the calling domain allocates per simulated event
+   in one simulation of [layout] (the tables are prepared already).
+   Blocks over 256 words, such as a long trace's chunk table, go
+   straight to the major heap and are not counted: over a window this
+   short, [Gc.counters]' major and promoted words do not add up (minor
+   + major - promoted read 21.6 words per event on a complete KMeans
+   simulation whose minor words alone are 10.9). *)
+let words_per_event ?cycle_bound prepared layout =
+  let before = Gc.minor_words () in
+  let r = Schedsim.simulate_prepared ?cycle_bound prepared layout in
+  let words = Gc.minor_words () -. before in
+  (words /. float_of_int r.s_sim_events, r)
+
+(* The event loop allocates only what a simulated execution creates
+   (tokens, entries, messages, invocations; see Schedsim).  Measured on
+   the first TILEPro64 candidate layout at the registry arguments, as
+   the synthesis search simulates them: a complete simulation, then one
+   bounded at 3/4 of its total, which spreads the per-simulation setup
+   over fewer events.  (At the small arguments a simulation is 48-127
+   events long, and the setup would hide the per-event allocation.)
+   Each ceiling is about 1.5x the value measured when it was set. *)
+let alloc_ceilings = [ ("Tracking", 18.0, 28.0); ("KMeans", 16.0, 16.5) ]
+
+let check_alloc (name, complete_ceiling, bounded_ceiling) =
+  let prog, an, prof = Helpers.registry_profiled (Bamboo_benchmarks.Registry.find name) in
+  let _, _, seeds = Bamboo.Candidates.generate ~n:4 ~seed:1 prog an.cstg prof Machine.tilepro64 in
+  let prepared = Schedsim.prepare prog prof in
+  let layout = List.hd seeds in
+  let complete, r = words_per_event prepared layout in
+  let bound = r.s_total_cycles * 3 / 4 in
+  let bounded, p = words_per_event ~cycle_bound:bound prepared layout in
+  Printf.printf "%s: %.2f words/event complete (%d events), %.2f bounded (%d events)\n" name
+    complete r.s_sim_events bounded p.s_sim_events;
+  Helpers.check_bool "bounded run pruned" true (p.s_status = Schedsim.Bounded bound);
+  Helpers.check_bool
+    (Printf.sprintf "%s complete: %.2f <= %.1f words/event" name complete complete_ceiling)
+    true (complete <= complete_ceiling);
+  Helpers.check_bool
+    (Printf.sprintf "%s bounded: %.2f <= %.1f words/event" name bounded bounded_ceiling)
+    true (bounded <= bounded_ceiling)
+
 let equivalence_cases =
   List.map
     (fun (b : Bamboo_benchmarks.Bench_def.t) ->
@@ -314,8 +421,13 @@ let tests =
         Alcotest.test_case "round structure" `Quick test_sim_round_structure;
         Alcotest.test_case "unprofiled task" `Quick test_sim_unprofiled_task_is_noop;
         Alcotest.test_case "cycle bound semantics" `Quick test_cycle_bound_semantics;
+        Alcotest.test_case "trace rows" `Quick test_trace_rows;
       ] );
     ("sim.equivalence", equivalence_cases);
+    ( "sim.alloc",
+      List.map
+        (fun ((name, _, _) as c) -> Alcotest.test_case name `Quick (fun () -> check_alloc c))
+        alloc_ceilings );
     ( "sim.critpath",
       [
         Alcotest.test_case "basics" `Quick test_critpath_basics;

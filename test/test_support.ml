@@ -87,28 +87,28 @@ let test_pqueue_orders () =
   List.iter (fun (p, v) -> Pqueue.push q ~prio:p v)
     [ (5, "e"); (1, "a"); (3, "c"); (2, "b"); (4, "d") ];
   let out = ref [] in
-  let rec drain () =
-    match Pqueue.pop q with
-    | Some (_, v) ->
-        out := v :: !out;
-        drain ()
-    | None -> ()
-  in
-  drain ();
+  while not (Pqueue.is_empty q) do
+    out := Pqueue.take q :: !out
+  done;
   Helpers.check_string "sorted" "abcde" (String.concat "" (List.rev !out))
 
 let test_pqueue_fifo_ties () =
   let q = Pqueue.create ~dummy:0 in
   List.iter (fun v -> Pqueue.push q ~prio:7 v) [ 1; 2; 3 ];
-  let xs = List.init 3 (fun _ -> match Pqueue.pop q with Some (_, v) -> v | None -> -1) in
+  let xs = List.init 3 (fun _ -> Pqueue.take q) in
   Alcotest.(check (list int)) "insertion order on equal priorities" [ 1; 2; 3 ] xs
 
+(* [min_prio] peeks at the next priority without removing anything. *)
 let test_pqueue_peek () =
   let q = Pqueue.create ~dummy:0 in
-  Helpers.check_bool "empty peek" true (Pqueue.peek q = None);
+  Helpers.check_bool "empty peek raises" true
+    (match Pqueue.min_prio q with _ -> false | exception Invalid_argument _ -> true);
   Pqueue.push q ~prio:9 42;
-  Helpers.check_bool "peek non-destructive" true (Pqueue.peek q = Some (9, 42));
-  Helpers.check_int "length" 1 (Pqueue.length q)
+  Helpers.check_int "peek sees the priority" 9 (Pqueue.min_prio q);
+  Helpers.check_int "peek non-destructive" 1 (Pqueue.length q);
+  Helpers.check_int "take returns the payload" 42 (Pqueue.take q);
+  Helpers.check_bool "empty take raises" true
+    (match Pqueue.take q with _ -> false | exception Invalid_argument _ -> true)
 
 let pqueue_sorts =
   QCheck.Test.make ~name:"pqueue pops in priority order" ~count:200
@@ -117,7 +117,7 @@ let pqueue_sorts =
       let q = Pqueue.create ~dummy:0 in
       List.iter (fun p -> Pqueue.push q ~prio:p p) prios;
       let rec drain acc =
-        match Pqueue.pop q with Some (_, v) -> drain (v :: acc) | None -> List.rev acc
+        if Pqueue.is_empty q then List.rev acc else drain (Pqueue.take q :: acc)
       in
       drain [] = List.sort compare prios)
 
@@ -146,12 +146,16 @@ let pqueue_interleaved_oracle =
               oracle := ins !oracle;
               incr seq
           | None -> (
-              match (Pqueue.pop q, !oracle) with
-              | None, [] -> ()
-              | Some (p, v), (p', v') :: rest ->
-                  if p <> p' || v <> v' then ok := false;
-                  oracle := rest
-              | _ -> ok := false))
+              match !oracle with
+              | [] -> if not (Pqueue.is_empty q) then ok := false
+              | (p', v') :: rest ->
+                  if Pqueue.is_empty q then ok := false
+                  else begin
+                    let p = Pqueue.min_prio q in
+                    let v = Pqueue.take q in
+                    if p <> p' || v <> v' then ok := false
+                  end;
+                  oracle := rest))
         ops;
       !ok && Pqueue.length q = List.length !oracle)
 

@@ -152,7 +152,7 @@ let test_evaluator_memoizes () =
       Helpers.check_int "hits counted" (List.length seeds) (Bamboo.Evaluator.cache_hits ev);
       (* the memoized direction matches a direct simulation *)
       let l = List.hd seeds in
-      (match Bamboo.Evaluator.result ev l with
+      (match Bamboo.Evaluator.result ev ~key:(Layout.canonical_key l) l with
       | None -> Alcotest.fail "unexpected overrun"
       | Some d ->
           let direct = Bamboo.Schedsim.simulate prog prof l in
@@ -182,7 +182,8 @@ let test_dsa_cache_hits_counted () =
   Bamboo.Evaluator.with_evaluator prog prof (fun ev ->
       ignore (Bamboo.Evaluator.batch_cycles ev [ bad ]);
       let hits = Bamboo.Evaluator.cache_hits ev in
-      Helpers.check_bool "direction cached" true (Bamboo.Evaluator.result ev bad <> None);
+      Helpers.check_bool "direction cached" true
+        (Bamboo.Evaluator.result ev ~key:(Layout.canonical_key bad) bad <> None);
       Helpers.check_int "direction read counts no hit" hits (Bamboo.Evaluator.cache_hits ev);
       Helpers.check_int "direction read simulates nothing" 1 (Bamboo.Evaluator.evaluated ev))
 
@@ -456,9 +457,11 @@ let test_batch_bounded_merges_duplicates () =
       (* same layout three times: tight bound, loose bound, unbounded.
          The merged request is unbounded, so one simulation answers
          all three with the true score. *)
+      let key = Layout.canonical_key slow in
       let rs =
         Bamboo.Evaluator.batch_bounded ev
-          [ (slow, Some (slow_cycles / 4)); (slow, Some (slow_cycles * 2)); (slow, None) ]
+          [ (key, slow, Some (slow_cycles / 4)); (key, slow, Some (slow_cycles * 2));
+            (key, slow, None) ]
       in
       Helpers.check_int "one simulation for the merged group" 1
         (Bamboo.Evaluator.evaluated ev);
@@ -475,7 +478,7 @@ let test_batch_bounded_merges_duplicates () =
       let l2 =
         match
           Bamboo.Evaluator.batch_bounded ev
-            [ (slow, Some (slow_cycles / 3)); (slow, Some (slow_cycles / 2)) ]
+            [ (key, slow, Some (slow_cycles / 3)); (key, slow, Some (slow_cycles / 2)) ]
         with
         | [ a; b ] -> (a, b)
         | _ -> Alcotest.fail "two answers expected"
@@ -496,9 +499,10 @@ let test_batch_bounded_prunes_at_loosest () =
          the loosest bound, proves the total exceeds it, and the prune
          answers both (a total above the loosest bound is above the
          tighter one too). *)
+      let key = Layout.canonical_key slow in
       let rs =
         Bamboo.Evaluator.batch_bounded ev
-          [ (slow, Some (slow_cycles / 4)); (slow, Some (slow_cycles / 2)) ]
+          [ (key, slow, Some (slow_cycles / 4)); (key, slow, Some (slow_cycles / 2)) ]
       in
       Helpers.check_int "one bounded simulation" 1 (Bamboo.Evaluator.evaluated ev);
       Helpers.check_int "prune recorded" 1 (Bamboo.Evaluator.pruned ev);
@@ -529,7 +533,7 @@ let test_evaluator_pruning_contract () =
       Helpers.check_bool "events counted" true (Bamboo.Evaluator.sim_events ev > 0);
       (* The truncated simulation must never surface as a direction. *)
       Helpers.check_bool "no direction from a pruned sim" true
-        (Bamboo.Evaluator.result ev slow = None);
+        (Bamboo.Evaluator.result ev ~key:(Layout.canonical_key slow) slow = None);
       Helpers.check_int "result did not re-simulate" 1 (Bamboo.Evaluator.evaluated ev);
       (* A tighter bound is answered by the cached prune... *)
       let scores' = Bamboo.Evaluator.batch_cycles ~cycle_bound:(bound / 2) ev [ slow ] in
@@ -540,7 +544,7 @@ let test_evaluator_pruning_contract () =
       let full = Bamboo.Evaluator.batch_cycles ev [ slow ] in
       Alcotest.(check (list int)) "unbounded request gets the true score" [ slow_cycles ] full;
       Helpers.check_int "re-simulated once" 2 (Bamboo.Evaluator.evaluated ev);
-      match Bamboo.Evaluator.result ev slow with
+      match Bamboo.Evaluator.result ev ~key:(Layout.canonical_key slow) slow with
       | None -> Alcotest.fail "direction expected after unbounded re-simulation"
       | Some d -> Helpers.check_int "complete direction cached" slow_cycles d.d_total_cycles)
 
@@ -555,7 +559,8 @@ let test_evaluator_bound_not_reached_is_complete () =
       let scores = Bamboo.Evaluator.batch_cycles ~cycle_bound:(slow_cycles * 2) ev [ slow ] in
       Alcotest.(check (list int)) "loose bound completes" [ slow_cycles ] scores;
       Helpers.check_int "nothing pruned" 0 (Bamboo.Evaluator.pruned ev);
-      Helpers.check_bool "direction available" true (Bamboo.Evaluator.result ev slow <> None))
+      Helpers.check_bool "direction available" true
+        (Bamboo.Evaluator.result ev ~key:(Layout.canonical_key slow) slow <> None))
 
 let test_dsa_prunes_against_incumbent () =
   let prog, _, prof = setup () in
