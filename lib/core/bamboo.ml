@@ -50,6 +50,7 @@ module Critpath = Bamboo_sim.Critpath
 module Candidates = Bamboo_synth.Candidates
 module Evaluator = Bamboo_synth.Evaluator
 module Dsa = Bamboo_synth.Dsa
+module Pset = Bamboo_runtime.Pset
 module Runtime = Bamboo_runtime.Runtime
 module Mailbox = Bamboo_support.Mailbox
 module Chase_lev = Bamboo_support.Chase_lev

@@ -32,9 +32,13 @@
     contends.  Cost accounting is per-core ([Interp.ctx.cycles] plus
     the executed/retry/message counters) and merged at quiescence.
 
-    The sequential runtime stays the equivalence oracle: for every
-    program, [run] and [Runtime.run] must agree on the canonical
-    output digest ({!Canon.digest}). *)
+    The entries, their assembly into invocations, the tag-hash routing
+    key and the lock-key order are {!Bamboo_runtime.Pset}'s, shared
+    with the cycle-level runtime; this module owns the mailboxes, the
+    [Atomic] locks, stealing and quiescence.  The cycle-level runtime
+    is the equivalence oracle for those: for every program, [run] and
+    [Runtime.run] must agree on the canonical output digest
+    ({!Canon.digest}). *)
 
 module Ir = Bamboo_ir.Ir
 module Interp = Bamboo_interp.Interp
@@ -42,6 +46,7 @@ module Value = Bamboo_interp.Value
 module Machine = Bamboo_machine.Machine
 module Layout = Bamboo_machine.Layout
 module Runtime = Bamboo_runtime.Runtime
+module Pset = Bamboo_runtime.Pset
 module Mailbox = Bamboo_support.Mailbox
 module Clock = Bamboo_support.Clock
 module Deque = Bamboo_support.Deque
@@ -56,71 +61,6 @@ exception Exec_stuck of string
 (** Domains are capped here; the CLI documents and enforces the same
     bound on [--domains]. *)
 let max_domains = 64
-
-(* ------------------------------------------------------------------ *)
-(* Snapshot entries *)
-
-(** A parameter-set entry carrying the snapshot of the object's
-    dispatch-relevant state, taken while the dispatching core held the
-    object's lock.  Receivers evaluate guards against the snapshot
-    only; the single source of truth for staleness is the generation
-    counter.  The runtime's invariant makes this sound: [o_flags] and
-    [o_tags] change only under the object's lock and every such change
-    bumps [o_gen] before the lock is released, so
-    [gen unchanged ⟺ snapshot still exact]. *)
-type entry = {
-  x_obj : obj;
-  x_gen : int;
-  x_flags : int;
-  x_tags : tag_inst list;
-  x_req : int;
-  (* the serve-mode request this object belongs to, or [-1] in batch
-     runs.  Objects never migrate between requests: every allocation
-     made while executing request [r] is dispatched with [x_req = r],
-     so the tag travels with the object's whole downstream cone. *)
-}
-
-let dummy_obj : obj =
-  {
-    o_id = -1;
-    o_class = -1;
-    o_site = -1;
-    o_fields = [||];
-    o_flags = 0;
-    o_tags = [];
-    o_lock = Atomic.make (-1);
-    o_lock_until = 0;
-    o_gen = Atomic.make min_int;
-  }
-
-let dummy_entry = { x_obj = dummy_obj; x_gen = max_int; x_flags = 0; x_tags = []; x_req = -1 }
-
-let entry_fresh (e : entry) = Atomic.get e.x_obj.o_gen = e.x_gen
-
-(** Snapshot [o]'s dispatch-relevant state.  Only sound while the
-    caller holds [o]'s lock (or before any domain has been spawned).
-    [req] tags the snapshot with the serve-mode request id ([-1] =
-    batch work). *)
-let snapshot ?(req = -1) (o : obj) =
-  { x_obj = o; x_gen = Atomic.get o.o_gen; x_flags = o.o_flags; x_tags = o.o_tags; x_req = req }
-
-(** Guard evaluation against the snapshot. *)
-let satisfies (p : Ir.paraminfo) (e : entry) =
-  Ir.eval_flagexp p.p_guard e.x_flags
-  && List.for_all (fun (tty, _) -> List.exists (fun t -> t.tg_ty = tty) e.x_tags) p.p_tags
-
-type invocation = {
-  iv_task : Ir.taskinfo;
-  iv_params : entry array;
-  iv_tags : (Ir.slot * tag_inst) list;
-  iv_home : int;
-  (* the core that assembled this invocation — where dropped-parameter
-     entries must be re-delivered when a thief executes it elsewhere *)
-  iv_req : int;
-  (* request id inherited from the parameter entries ([-1] in batch
-     runs); {!try_assemble} never mixes entries of different requests,
-     so all parameters agree on it *)
-}
 
 (* ------------------------------------------------------------------ *)
 (* Scheduling policy *)
@@ -143,13 +83,11 @@ type schedule = Static | Steal
 (* ------------------------------------------------------------------ *)
 (* Per-core scheduler state *)
 
-type consumers = (Ir.taskinfo * int * Ir.paraminfo) list
-
 type xcore = {
   cid : int;
-  mailbox : entry Mailbox.t;            (* written by any domain *)
-  ready : invocation Queue.t;           (* owner domain only *)
-  psets : entry Deque.t array array;    (* owner domain only *)
+  mailbox : Pset.entry Mailbox.t;       (* written by any domain *)
+  ready : Pset.invocation Queue.t;      (* owner domain only *)
+  psets : Pset.sets;                    (* owner domain only *)
   ictx : Interp.ctx;                    (* owner domain only *)
   mutable san : Sanitize.session option;(* lockset sanitizer, when enabled *)
   invoke :
@@ -160,8 +98,8 @@ type xcore = {
   (* [ictx]'s engine (closure engine or tree-walking oracle),
      resolved once per core at construction *)
   rr : int array array;                 (* round-robin routing counters *)
-  stealq : invocation Chase_lev.t;      (* steal-safe work; stolen by any domain *)
-  stolen : invocation Queue.t;          (* stolen work awaiting a lock retry; owner only *)
+  stealq : Pset.invocation Chase_lev.t; (* steal-safe work; stolen by any domain *)
+  stolen : Pset.invocation Queue.t;     (* stolen work awaiting a lock retry; owner only *)
   mutable executed : int;
   mutable trim_seen : int;              (* last trim watermark this core purged to *)
   mutable retries : int;                (* failed lock-acquisition rounds *)
@@ -191,10 +129,9 @@ type state = {
   prog : Ir.program;
   layout : Layout.t;
   cores : xcore array;
-  consumer_table : consumers array;     (* class id -> all consumers *)
-  hosted : consumers array array;       (* cid -> class id -> consumers on cid *)
-  lock_groups : int array;
-  use_group : bool array;
+  consumers : Pset.consumer list array; (* class id -> all consumers *)
+  hosted : Pset.consumer list array array; (* cid -> class id -> consumers on cid *)
+  lock_group : int array;               (* {!Pset.lock_group_of} *)
   group_locks : int Atomic.t array;     (* group root class -> owner core or -1 *)
   outstanding : int Atomic.t;           (* in-flight messages + queued invocations *)
   total_invocations : int Atomic.t;     (* budget check only; results use per-core sums *)
@@ -216,24 +153,16 @@ type state = {
 
 let make_xcore (prog : Ir.program) ncores cid =
   let ictx = Interp.create ~id_base:cid ~id_stride:ncores prog in
-  (* sentinel for the Chase–Lev slots; never executed *)
-  let dummy_invocation =
-    { iv_task = prog.tasks.(0); iv_params = [||]; iv_tags = []; iv_home = -1; iv_req = -1 }
-  in
   {
     cid;
     mailbox = Mailbox.create ();
     ready = Queue.create ();
-    psets =
-      Array.map
-        (fun (t : Ir.taskinfo) ->
-          Array.init (Array.length t.t_params) (fun _ -> Deque.create ~dummy:dummy_entry))
-        prog.tasks;
+    psets = Pset.create_sets prog;
     ictx;
     san = None;
     invoke = Interp.executor ictx;
-    rr =Array.map (fun (t : Ir.taskinfo) -> Array.make (Array.length t.t_params) 0) prog.tasks;
-    stealq = Chase_lev.create ~dummy:dummy_invocation ();
+    rr = Pset.round_robin prog;
+    stealq = Chase_lev.create ~dummy:Pset.dummy_invocation ();
     stolen = Queue.create ();
     executed = 0;
     trim_seen = 0;
@@ -245,16 +174,6 @@ let make_xcore (prog : Ir.program) ncores cid =
     steal_hits = 0;
     steal_aborts = 0;
   }
-
-let build_consumer_table (prog : Ir.program) : consumers array =
-  let table = Array.make (Array.length prog.classes) [] in
-  Array.iter
-    (fun (t : Ir.taskinfo) ->
-      Array.iteri
-        (fun pidx (p : Ir.paraminfo) -> table.(p.p_class) <- (t, pidx, p) :: table.(p.p_class))
-        t.t_params)
-    prog.tasks;
-  Array.map List.rev table
 
 (* ------------------------------------------------------------------ *)
 (* Outstanding-work accounting.  All counter traffic goes through
@@ -280,155 +199,34 @@ let count_down st ~core req =
   Atomic.decr st.outstanding
 
 (* ------------------------------------------------------------------ *)
-(* Routing: identical placement policy to the sequential runtime,
-   except the round-robin counters live on the dispatching core so
-   routing never shares state across domains. *)
-
-let route st (core : xcore) (task : Ir.taskinfo) pidx (e : entry) =
-  let nparams = Array.length task.t_params in
-  let key =
-    if nparams <= 1 then 0
-    else
-      (* Multi-instance multi-parameter task: hash the bound tag
-         instance so all co-tagged objects meet at the same core. *)
-      match task.t_params.(pidx).p_tags with
-      | (tty, _) :: _ -> (
-          match List.find_opt (fun t -> t.tg_ty = tty) e.x_tags with
-          | Some tag -> tag.tg_id
-          | None -> Layout.no_key)
-      | [] -> 0
-  in
-  let c =
-    Layout.route_core
-      ~cores:(Layout.cores_of st.layout task.t_id)
-      ~nparams ~key ~rr:core.rr ~tid:task.t_id pidx
-  in
-  if c < 0 then None else Some c
+(* Dispatch and delivery *)
 
 (** Send [e] to every core hosting a consumer it satisfies — one
     mailbox message per destination core (the receiver fans it out to
-    all of its matching parameter sets).  The outstanding-work counter
-    is incremented {e before} each push so the counter can never read
-    zero while a message is in flight. *)
-let dispatch st (core : xcore) (e : entry) =
+    all of its matching parameter sets).  Routing uses this core's
+    round-robin counters, so it never shares state across domains.
+    The outstanding-work counter is incremented {e before} each push
+    so the counter can never read zero while a message is in flight. *)
+let dispatch st (core : xcore) (e : Pset.entry) =
   let dsts = ref [] in
   List.iter
     (fun ((task : Ir.taskinfo), pidx, p) ->
-      if satisfies p e then
-        match route st core task pidx e with
-        | Some dst when not (List.mem dst !dsts) -> dsts := dst :: !dsts
-        | _ -> ())
-    st.consumer_table.(e.x_obj.o_class);
+      if Pset.satisfies p e then
+        let dst = Pset.route st.layout ~rr:core.rr task pidx e in
+        if dst >= 0 && not (List.mem dst !dsts) then dsts := dst :: !dsts)
+    st.consumers.(e.obj.o_class);
   List.iter
     (fun dst ->
-      count_up st e.x_req;
+      count_up st e.req;
       if dst <> core.cid then core.sent <- core.sent + 1;
       Mailbox.push st.cores.(dst).mailbox e)
     !dsts
-
-(* ------------------------------------------------------------------ *)
-(* Invocation assembly: the same backtracking search over the
-   parameter-set deques as the sequential runtime, with one
-   difference — staleness is the generation check alone (the snapshot
-   invariant above makes the guard re-check redundant). *)
-
-let try_assemble (core : xcore) (task : Ir.taskinfo) =
-  let sets = core.psets.(task.t_id) in
-  let nparams = Array.length task.t_params in
-  if nparams = 0 then None
-  else begin
-    Array.iter Deque.maybe_compact sets;
-    let chosen = Array.make nparams (-1) in
-    let chosen_e = Array.make nparams dummy_entry in
-    let bindings : (Ir.slot, tag_inst) Hashtbl.t = Hashtbl.create 4 in
-    let rec search pidx =
-      if pidx = nparams then true
-      else begin
-        let p = task.t_params.(pidx) in
-        let set = sets.(pidx) in
-        let len = Deque.length set in
-        let rec scan i =
-          if i >= len then false
-          else if not (Deque.is_live set i) then scan (i + 1)
-          else begin
-            let e = Deque.get set i in
-            if not (entry_fresh e) then begin
-              Deque.delete set i;
-              scan (i + 1)
-            end
-            else if pidx > 0 && e.x_req <> chosen_e.(0).x_req then
-              (* Never assemble parameters from different serve-mode
-                 requests: each request must complete (and be digest-
-                 checked) as the closed system the sequential oracle
-                 executes.  Batch entries all carry [-1], so this
-                 constraint is vacuous outside serve. *)
-              scan (i + 1)
-            else begin
-              let distinct = ref true in
-              for j = 0 to pidx - 1 do
-                if chosen_e.(j).x_obj == e.x_obj then distinct := false
-              done;
-              if not !distinct then scan (i + 1)
-              else begin
-                (* unify tag constraints against the snapshot *)
-                let saved = Hashtbl.copy bindings in
-                let ok =
-                  List.for_all
-                    (fun (tty, slot) ->
-                      match Hashtbl.find_opt bindings slot with
-                      | Some tag -> List.memq tag e.x_tags
-                      | None -> (
-                          match List.find_opt (fun t -> t.tg_ty = tty) e.x_tags with
-                          | Some tag ->
-                              Hashtbl.replace bindings slot tag;
-                              true
-                          | None -> false))
-                    p.p_tags
-                in
-                if ok then begin
-                  chosen.(pidx) <- i;
-                  chosen_e.(pidx) <- e;
-                  if search (pidx + 1) then true
-                  else begin
-                    chosen.(pidx) <- -1;
-                    chosen_e.(pidx) <- dummy_entry;
-                    Hashtbl.reset bindings;
-                    Hashtbl.iter (Hashtbl.replace bindings) saved;
-                    scan (i + 1)
-                  end
-                end
-                else begin
-                  Hashtbl.reset bindings;
-                  Hashtbl.iter (Hashtbl.replace bindings) saved;
-                  scan (i + 1)
-                end
-              end
-            end
-          end
-        in
-        scan 0
-      end
-    in
-    if search 0 then begin
-      Array.iteri (fun pidx slot -> Deque.delete sets.(pidx) slot) chosen;
-      let tags = Hashtbl.fold (fun slot tag acc -> (slot, tag) :: acc) bindings [] in
-      Some
-        {
-          iv_task = task;
-          iv_params = chosen_e;
-          iv_tags = List.sort compare tags;
-          iv_home = core.cid;
-          iv_req = chosen_e.(0).x_req;
-        }
-    end
-    else None
-  end
 
 (** Queue a freshly assembled invocation, counted.  Under [Steal],
     steal-safe work goes to the core's public Chase–Lev deque where
     idle domains can take it; everything else stays on the private
     ready queue and can only ever run here. *)
-let enqueue_invocation st (core : xcore) (inv : invocation) =
+let enqueue_invocation st (core : xcore) (inv : Pset.invocation) =
   count_up st inv.iv_req;
   if st.schedule == Steal && st.steal_safe.(inv.iv_task.Ir.t_id) then
     Chase_lev.push core.stealq inv
@@ -437,51 +235,20 @@ let enqueue_invocation st (core : xcore) (inv : invocation) =
 (** Insert an arriving entry into this core's parameter sets (one copy
     per matching hosted consumer) and enqueue every invocation it
     completes.  Runs on the core's owner domain only. *)
-let deliver st (core : xcore) (e : entry) =
-  List.iter
-    (fun ((task : Ir.taskinfo), pidx, p) ->
-      if entry_fresh e && satisfies p e then begin
-        let set = core.psets.(task.t_id).(pidx) in
-        let dup = Deque.exists (fun e' -> e'.x_obj == e.x_obj && e'.x_gen = e.x_gen) set in
-        if not dup then begin
-          Deque.push set e;
-          let rec assemble () =
-            match try_assemble core task with
-            | Some inv ->
-                enqueue_invocation st core inv;
-                assemble ()
-            | None -> ()
-          in
-          assemble ()
-        end
-      end)
-    st.hosted.(core.cid).(e.x_obj.o_class)
+let deliver st (core : xcore) (e : Pset.entry) =
+  ignore
+    (Pset.deliver core.psets ~home:core.cid st.hosted.(core.cid).(e.obj.o_class) e
+       ~enqueue:(enqueue_invocation st core))
 
 (* ------------------------------------------------------------------ *)
-(* Locking: ordered Atomic-CAS try-lock over group and object keys.
-   Try-lock with release-all-on-failure has no hold-and-wait, so the
-   protocol is deadlock-free by construction; the global acquisition
-   order (groups before objects, each by id) additionally makes two
-   cores contending for the same key set collide on the *first*
-   common key, keeping failed rounds cheap. *)
+(* Locking: Atomic-CAS try-lock over the keys of {!Pset.lock_keys},
+   taken in its global order.  Try-lock with release-all-on-failure
+   has no hold-and-wait, so the protocol is deadlock-free by
+   construction; the global order additionally makes two cores
+   contending for the same key set collide on the *first* common key,
+   keeping failed rounds cheap. *)
 
-type lock_key = KGroup of int | KObj of obj
-
-let key_cmp a b =
-  match (a, b) with
-  | KGroup x, KGroup y -> compare x y
-  | KObj x, KObj y -> compare x.o_id y.o_id
-  | KGroup _, KObj _ -> -1
-  | KObj _, KGroup _ -> 1
-
-let cell_of st = function KGroup g -> st.group_locks.(g) | KObj o -> o.o_lock
-
-let lock_keys st (inv : invocation) =
-  Array.to_list inv.iv_params
-  |> List.map (fun e ->
-         if st.use_group.(e.x_obj.o_class) then KGroup st.lock_groups.(e.x_obj.o_class)
-         else KObj e.x_obj)
-  |> List.sort_uniq key_cmp
+let cell_of st = function Pset.Group g -> st.group_locks.(g) | Pset.Obj o -> o.o_lock
 
 (** Acquire every cell or none: on the first CAS failure, release all
     cells acquired so far and report failure.  Takes the already
@@ -510,17 +277,17 @@ let release_all cells = List.iter (fun c -> Atomic.set c (-1)) cells
     must requeue it wherever it came from (ready queue, stolen queue
     or the core's own Chase–Lev deque), still counted. *)
 let sanitize_key = function
-  | KGroup g -> Sanitize.Kgroup g
-  | KObj o -> Sanitize.Kobject o.o_id
+  | Pset.Group g -> Sanitize.Kgroup g
+  | Pset.Obj o -> Sanitize.Kobject o.o_id
 
-let run_invocation st (core : xcore) (inv : invocation) =
-  let keys = lock_keys st inv in
+let run_invocation st (core : xcore) (inv : Pset.invocation) =
+  let keys = Pset.lock_keys st.lock_group inv in
   match try_lock_all core.cid (List.map (cell_of st) keys) with
   | None ->
       core.retries <- core.retries + 1;
       `Retry
   | Some cells ->
-      if not (Array.for_all entry_fresh inv.iv_params) then begin
+      if not (Array.for_all Pset.fresh inv.iv_params) then begin
         (* A parameter was consumed by another invocation after this
            one was assembled: drop it, re-delivering the entries that
            are still fresh (their snapshots are still exact).  A
@@ -530,11 +297,11 @@ let run_invocation st (core : xcore) (inv : invocation) =
            push, like any message). *)
         release_all cells;
         Array.iter
-          (fun e ->
-            if entry_fresh e then
+          (fun (e : Pset.entry) ->
+            if Pset.fresh e then
               if inv.iv_home = core.cid then deliver st core e
               else begin
-                count_up st e.x_req;
+                count_up st e.req;
                 core.sent <- core.sent + 1;
                 Mailbox.push st.cores.(inv.iv_home).mailbox e
               end)
@@ -550,7 +317,7 @@ let run_invocation st (core : xcore) (inv : invocation) =
         (* Execute the body and apply the exit actions while every
            parameter is locked; generation bumps and snapshots happen
            before release so receivers only ever see exact snapshots. *)
-        let params = Array.map (fun e -> e.x_obj) inv.iv_params in
+        let params = Array.map (fun (e : Pset.entry) -> e.obj) inv.iv_params in
         (match core.san with
         | Some ses ->
             Sanitize.enter ses ~task:inv.iv_task.Ir.t_id ~keys:(List.map sanitize_key keys)
@@ -563,8 +330,8 @@ let run_invocation st (core : xcore) (inv : invocation) =
             Sanitize.leave ses
         | None -> ());
         Array.iter (fun o -> Atomic.incr o.o_gen) params;
-        let snaps = Array.map (snapshot ~req:inv.iv_req) params in
-        let created = List.map (snapshot ~req:inv.iv_req) r.tr_created in
+        let snaps = Array.map (Pset.snapshot ~req:inv.iv_req) params in
+        let created = List.map (Pset.snapshot ~req:inv.iv_req) r.tr_created in
         release_all cells;
         core.executed <- core.executed + 1;
         if inv.iv_home <> core.cid then core.stolen_run <- core.stolen_run + 1;
@@ -579,7 +346,7 @@ let run_invocation st (core : xcore) (inv : invocation) =
 
 (** Sweep [q] once: run every queued invocation whose locks can be
     taken; lock-contended ones go back to the tail, still counted. *)
-let sweep_queue st (core : xcore) (q : invocation Queue.t) progressed =
+let sweep_queue st (core : xcore) (q : Pset.invocation Queue.t) progressed =
   let n = Queue.length q in
   for _ = 1 to n do
     match Queue.take_opt q with
@@ -605,8 +372,8 @@ let purge_completed (core : xcore) before =
           let len = Deque.length set in
           for i = 0 to len - 1 do
             if Deque.is_live set i then begin
-              let e = Deque.get set i in
-              if e.x_req >= 0 && e.x_req < before then Deque.delete set i
+              let (e : Pset.entry) = Deque.get set i in
+              if e.req >= 0 && e.req < before then Deque.delete set i
             end
           done;
           Deque.maybe_compact set)
@@ -631,7 +398,7 @@ let step st (core : xcore) =
   List.iter
     (fun e ->
       deliver st core e;
-      count_down st ~core:core.cid e.x_req;
+      count_down st ~core:core.cid e.req;
       progressed := true)
     (Mailbox.drain core.mailbox);
   sweep_queue st core core.ready progressed;
@@ -842,14 +609,8 @@ let build_state ~max_invocations ?lock_groups ~schedule ?steal_safe ?tracker ~se
   Interp.precompile prog;
   let stride = if serving then ncores + 1 else ncores in
   let cores = Array.init ncores (make_xcore prog stride) in
-  let consumer_table = build_consumer_table prog in
-  let hosted =
-    Array.init ncores (fun cid ->
-        Array.map
-          (List.filter (fun ((t : Ir.taskinfo), _, _) ->
-               Array.exists (fun c -> c = cid) (Layout.cores_of layout t.t_id)))
-          consumer_table)
-  in
+  let consumers = Pset.consumers prog in
+  let hosted = Pset.hosted layout consumers in
   (* Only cores hosting at least one consumer can ever receive work;
      they are also the steal victims (all other deques stay empty). *)
   let active =
@@ -863,10 +624,9 @@ let build_state ~max_invocations ?lock_groups ~schedule ?steal_safe ?tracker ~se
       prog;
       layout;
       cores;
-      consumer_table;
+      consumers;
       hosted;
-      lock_groups;
-      use_group = Array.init (Array.length prog.Ir.classes) (Ir.uses_group_lock lock_groups);
+      lock_group = Pset.lock_group_of lock_groups;
       group_locks = Array.init (Array.length prog.Ir.classes) (fun _ -> Atomic.make (-1));
       outstanding = Atomic.make 0;
       total_invocations = Atomic.make 0;
@@ -946,7 +706,7 @@ let run ?(args = []) ?(max_invocations = 2_000_000) ?lock_groups ?(domains = 4) 
   (* Boot: create the startup object on core 0's context and
      dispatch it before any domain exists (no lock needed). *)
   let startup = Interp.make_startup cores.(0).ictx args in
-  dispatch st cores.(0) (snapshot startup);
+  dispatch st cores.(0) (Pset.snapshot startup);
   let root = Prng.create ~seed in
   let streams = Array.init ndomains (fun _ -> Prng.split root) in
   let workers =
@@ -1045,7 +805,7 @@ let inject (ses : session) ~req (args : string list) =
   let st = ses.ses_st in
   count_up st req;
   let startup = Interp.make_startup ses.ses_injector.ictx args in
-  dispatch st ses.ses_injector (snapshot ~req startup);
+  dispatch st ses.ses_injector (Pset.snapshot ~req startup);
   count_down st ~core:ses.ses_injector.cid req
 
 (** First worker failure, if any — the generator polls this to stop

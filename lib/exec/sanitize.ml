@@ -41,8 +41,8 @@ open Bamboo_interp.Value
 
 (** A lock key as the sanitizer sees it: the group root class id for
     group-locked classes, the object id otherwise.  Mirrors
-    [Exec.lock_key] but by value, so keys can live in hash tables and
-    survive the objects they name. *)
+    [Bamboo_runtime.Pset.lock_key] but by value, so keys can live in
+    hash tables and survive the objects they name. *)
 type key = Kgroup of int | Kobject of int
 
 type shadow = {

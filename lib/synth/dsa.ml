@@ -137,11 +137,11 @@ let with_task_replicated prog layout tid ~on_core =
 let rec take n = function [] -> [] | x :: rest -> if n <= 0 then [] else x :: take (n - 1) rest
 
 (** Random mutation used to escape plateaus: move or replicate a few
-    random task instances. *)
+    random task instances (none in a program without tasks). *)
 let shake rng prog layout =
   let machine = layout.Layout.machine in
   let l = ref (Layout.copy layout) in
-  let nmut = 1 + Prng.int rng 3 in
+  let nmut = if Array.length prog.Ir.tasks = 0 then 0 else 1 + Prng.int rng 3 in
   for _ = 1 to nmut do
     let tid = Prng.int rng (Array.length prog.Ir.tasks) in
     let cores = Layout.cores_of !l tid in
@@ -205,9 +205,9 @@ let neighbours cfg rng prog (d : Evaluator.direction) =
   in
   let directed = take cfg.max_neighbours (List.concat_map per_op ops) in
   (* Fallback random perturbation keeps the search alive when the
-     critical path offers nothing. *)
+     critical path offers nothing (and there is a task to move). *)
   let random_moves =
-    if directed = [] then
+    if directed = [] && Array.length prog.Ir.tasks > 0 then
       List.filter_map
         (fun _ ->
           let tid = Prng.int rng (Array.length prog.Ir.tasks) in

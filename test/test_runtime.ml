@@ -192,34 +192,34 @@ let test_tag_hash_multi_instance_merge () =
   let r = Bamboo.execute prog an l in
   check_pots r.r_output
 
+let shared_src =
+  {|
+  class A { flag fa; flag linked; B partner; int id; A(int id) { this.id = id; } }
+  class B { flag fb; int id; B(int id) { this.id = id; } }
+  class Done { flag open; int left; Done(int n) { this.left = n; } }
+  task startup(StartupObject s in initialstate) {
+    for (int i = 0; i < 4; i = i + 1) {
+      A a = new A(i){fa := true};
+      B b = new B(i){fb := true};
+    }
+    Done d = new Done(4){open := true};
+    taskexit(s: initialstate := false);
+  }
+  task link(A a in fa, B b in fb) {
+    a.partner = b;
+    taskexit(a: fa := false, linked := true; b: fb := false);
+  }
+  task finish(Done d in open, A a in linked) {
+    d.left = d.left - 1;
+    if (d.left == 0) { System.printString("linked all"); taskexit(d: open := false; a: linked := false); }
+    taskexit(a: linked := false);
+  }
+  |}
+
 (* Shared-lock correctness: tasks that link two classes get a group
    lock and still run to completion with correct results. *)
 let test_shared_lock_execution () =
-  let src =
-    {|
-    class A { flag fa; flag linked; B partner; int id; A(int id) { this.id = id; } }
-    class B { flag fb; int id; B(int id) { this.id = id; } }
-    class Done { flag open; int left; Done(int n) { this.left = n; } }
-    task startup(StartupObject s in initialstate) {
-      for (int i = 0; i < 4; i = i + 1) {
-        A a = new A(i){fa := true};
-        B b = new B(i){fb := true};
-      }
-      Done d = new Done(4){open := true};
-      taskexit(s: initialstate := false);
-    }
-    task link(A a in fa, B b in fb) {
-      a.partner = b;
-      taskexit(a: fa := false, linked := true; b: fb := false);
-    }
-    task finish(Done d in open, A a in linked) {
-      d.left = d.left - 1;
-      if (d.left == 0) { System.printString("linked all"); taskexit(d: open := false; a: linked := false); }
-      taskexit(a: linked := false);
-    }
-    |}
-  in
-  let prog = Helpers.compile src in
+  let prog = Helpers.compile shared_src in
   let an = Bamboo.analyse prog in
   (* the disjointness analysis must force a shared lock group *)
   let cid n = Ir.find_class_exn prog n in
@@ -262,6 +262,60 @@ let test_output_ordering_deterministic () =
       Helpers.check_string "stable across repeats" b c
   | _ -> ()
 
+(* ------------------------------------------------------------------ *)
+(* Pinned totals on multi-core layouts *)
+
+let totals (r : Runtime.result) =
+  [ r.r_total_cycles; r.r_invocations; r.r_failed_locks; r.r_messages ]
+
+(* Cycles, invocations, failed locks and messages of every registry
+   program at its registry arguments on a 16-core spread layout.  The
+   cycle-level runtime is deterministic, so any change to assembly,
+   routing, locking or dispatch order that moves a schedule moves one
+   of these. *)
+let pinned_registry =
+  [
+    ("Tracking", [ 14_646_237; 874; 0; 826 ]);
+    ("KMeans", [ 33_917_408; 3_721; 0; 3_708 ]);
+    ("MonteCarlo", [ 5_540_837; 249; 0; 233 ]);
+    ("FilterBank", [ 5_971_196; 249; 0; 233 ]);
+    ("Fractal", [ 4_704_310; 497; 0; 465 ]);
+    ("Series", [ 4_069_029; 249; 0; 233 ]);
+    ("KeywordCount", [ 9_778; 33; 0; 31 ]);
+  ]
+
+let test_pinned_registry () =
+  List.iter
+    (fun (name, expected) ->
+      let b = Bamboo_benchmarks.Registry.find name in
+      let prog = Helpers.compile b.b_source in
+      let an = Bamboo.analyse prog in
+      let layout = Bamboo.Exec.spread_layout prog Machine.m16 in
+      let r = Bamboo.execute ~args:b.b_args prog an layout in
+      Alcotest.(check (list int))
+        (name ^ ": cycles, invocations, failed locks, messages")
+        expected (totals r))
+    pinned_registry
+
+(* None of the registry runs fails a lock, so the group-keyed
+   shared-lock program is pinned too: on the layout of "shared locks",
+   and with startup, link and finish on three cores, where one group
+   lock is contended. *)
+let test_pinned_shared_locks () =
+  let prog = Helpers.compile shared_src in
+  let an = Bamboo.analyse prog in
+  let run cores_of =
+    let l = Layout.create Machine.quad ~ntasks:(Array.length prog.tasks) in
+    Array.iter (fun (t : Ir.taskinfo) -> Layout.set_cores l t.t_id (cores_of t.t_name)) prog.tasks;
+    totals (Bamboo.execute prog an l)
+  in
+  Alcotest.(check (list int))
+    "two cores" [ 2_761; 9; 0; 13 ]
+    (run (function "link" -> [| 0 |] | _ -> [| 1 |]));
+  Alcotest.(check (list int))
+    "three cores" [ 3_097; 9; 1; 13 ]
+    (run (function "startup" -> [| 0 |] | "link" -> [| 1 |] | _ -> [| 2 |]))
+
 let cores_arb = QCheck.(int_range 1 8)
 
 let runtime_output_core_invariant =
@@ -288,6 +342,11 @@ let tests =
         Alcotest.test_case "shared locks" `Quick test_shared_lock_execution;
         Alcotest.test_case "transfer latency" `Quick test_transfer_latency_matters;
         Alcotest.test_case "output ordering" `Quick test_output_ordering_deterministic;
+      ] );
+    ( "runtime.pinned",
+      [
+        Alcotest.test_case "registry on 16 cores" `Quick test_pinned_registry;
+        Alcotest.test_case "shared locks" `Quick test_pinned_shared_locks;
       ] );
     Helpers.qsuite "runtime.qcheck" [ runtime_output_core_invariant ];
   ]
