@@ -1433,6 +1433,9 @@ let () =
       fig9 ();
       fig10 ~quick:!quick ();
       fig11 ();
+      (* The figures' searches are done: park no worker beside the
+         timed runs that follow (DESIGN.md §15). *)
+      Bamboo.Pool.shutdown_parked ();
       execbench ();
       stealbench ();
       interpbench ();

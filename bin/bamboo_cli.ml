@@ -330,12 +330,19 @@ let cmd_profile =
   Cmd.v (Cmd.info "profile" ~doc:"run on one core and print the profile statistics")
     Term.(const run $ file_arg $ args_arg $ engine_arg)
 
+(* A command runs one search, so it parks no worker pool for a next
+   one: a parked worker would take part in every minor collection of
+   the run, execution or serving that follows (DESIGN.md §15). *)
+let search ~seed ~jobs ~starts ~tempering prog an prof cores =
+  let o = Bamboo.synthesize ~seed ~jobs ~starts ~tempering prog an prof (machine_of cores) in
+  Bamboo.Pool.shutdown_parked ();
+  o
+
 let synthesize file args cores seed jobs starts tempering =
   let prog = load file in
   let an = Bamboo.analyse prog in
   let prof = Bamboo.profile ~args prog in
-  let o = Bamboo.synthesize ~seed ~jobs ~starts ~tempering prog an prof (machine_of cores) in
-  (prog, an, o)
+  (prog, an, search ~seed ~jobs ~starts ~tempering prog an prof cores)
 
 let cmd_synth =
   let run file args cores seed jobs starts tempering engine =
@@ -395,9 +402,7 @@ let cmd_exec =
       match layout_kind with
       | `Spread -> Bamboo.Exec.spread_layout prog (machine_of cores)
       | `Synth ->
-          let prof = Bamboo.profile ~args prog in
-          (Bamboo.synthesize ~seed ~jobs ~starts ~tempering prog an prof (machine_of cores))
-            .best
+          (search ~seed ~jobs ~starts ~tempering prog an (Bamboo.profile ~args prog) cores).best
     in
     let print ~output ~objects ~digest summary =
       if digest_only then print_endline digest
@@ -545,9 +550,7 @@ let cmd_serve =
       match layout_kind with
       | `Spread -> Bamboo.Exec.spread_layout prog (machine_of cores)
       | `Synth ->
-          let prof = Bamboo.profile ~args prog in
-          (Bamboo.synthesize ~seed ~jobs ~starts ~tempering prog an prof (machine_of cores))
-            .best
+          (search ~seed ~jobs ~starts ~tempering prog an (Bamboo.profile ~args prog) cores).best
     in
     let classes =
       match classes with

@@ -52,6 +52,7 @@ module Clock = Bamboo_support.Clock
 module Deque = Bamboo_support.Deque
 module Chase_lev = Bamboo_support.Chase_lev
 module Prng = Bamboo_support.Prng
+module Pool = Bamboo_support.Pool
 module Astg = Bamboo_analysis.Astg
 module Effects = Bamboo_analysis.Effects
 open Value
@@ -709,6 +710,9 @@ let run ?(args = []) ?(max_invocations = 2_000_000) ?lock_groups ?(domains = 4) 
   dispatch st cores.(0) (Pset.snapshot startup);
   let root = Prng.create ~seed in
   let streams = Array.init ndomains (fun _ -> Prng.split root) in
+  (* A worker pool parked by an earlier search would take part in
+     every minor collection of these domains (DESIGN.md §15). *)
+  Pool.shutdown_parked ();
   let workers =
     Array.init (ndomains - 1) (fun i ->
         let d = i + 1 in
@@ -787,6 +791,7 @@ let open_session ?(max_invocations = max_int) ?lock_groups ?(domains = 4) ?(seed
   let ndomains = max 1 (min (min domains max_domains) (max 1 (Array.length active))) in
   let root = Prng.create ~seed in
   let streams = Array.init ndomains (fun _ -> Prng.split root) in
+  Pool.shutdown_parked ();
   let workers =
     Array.init ndomains (fun d ->
         Domain.spawn (fun () ->

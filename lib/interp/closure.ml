@@ -283,7 +283,7 @@ let closurify_body (prog : Ir.program) (cc : closure_code) (b : body) : blk =
           let jt = goto t in
           Some
             (fun f ->
-              let cond = icmp c (fcompare f.cff.(a) f.cff.(b')) 0 in
+              let cond = icmp c (Float.compare f.cff.(a) f.cff.(b')) 0 in
               f.cfi.(d) <- (if cond then 1 else 0);
               charge f.cfc cy st;
               if cond then k3 f else jt f)
@@ -291,7 +291,7 @@ let closurify_body (prog : Ir.program) (cc : closure_code) (b : body) : blk =
           let jt = goto t in
           Some
             (fun f ->
-              let cond = icmp c (fcompare f.cff.(a) f.cff.(b')) 0 in
+              let cond = icmp c (Float.compare f.cff.(a) f.cff.(b')) 0 in
               f.cfi.(d) <- (if cond then 1 else 0);
               charge f.cfc cy st;
               if cond then jt f else k3 f)
@@ -330,14 +330,14 @@ let closurify_body (prog : Ir.program) (cc : closure_code) (b : body) : blk =
           let jt = goto t in
           Some
             (fun f ->
-              let cond = icmp c (fcompare f.cff.(a) f.cff.(b')) 0 in
+              let cond = icmp c (Float.compare f.cff.(a) f.cff.(b')) 0 in
               f.cfi.(d) <- (if cond then 1 else 0);
               if cond then k2 f else jt f)
       | Kfcmp (c, d, a, b'), Some (Kbrt (r, t)), _ when r = d ->
           let jt = goto t in
           Some
             (fun f ->
-              let cond = icmp c (fcompare f.cff.(a) f.cff.(b')) 0 in
+              let cond = icmp c (Float.compare f.cff.(a) f.cff.(b')) 0 in
               f.cfi.(d) <- (if cond then 1 else 0);
               if cond then jt f else k2 f)
       (* cost / control pairs: every block exit *)
@@ -408,7 +408,7 @@ let closurify_body (prog : Ir.program) (cc : closure_code) (b : body) : blk =
             (fun f ->
               f.cff.(t) <- c;
               f.cfi.(d) <-
-                (if icmp cmp (fcompare f.cff.(a) f.cff.(b')) 0 then 1 else 0);
+                (if icmp cmp (Float.compare f.cff.(a) f.cff.(b')) 0 then 1 else 0);
               k2 f)
       (* float ALU pairs: adjacent add/sub/mul/div (and moves) fused
          into one closure with two bank writes.  Inner numeric loops
@@ -913,7 +913,7 @@ let closurify_body (prog : Ir.program) (cc : closure_code) (b : body) : blk =
       | Kfcmp (c, d, a, b') ->
           fun f ->
             f.cfi.(d) <-
-              (if icmp c (fcompare f.cff.(a) f.cff.(b')) 0 then 1 else 0);
+              (if icmp c (Float.compare f.cff.(a) f.cff.(b')) 0 then 1 else 0);
             k f
       | Kscmp (c, d, a, b') ->
           fun f ->

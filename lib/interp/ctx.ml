@@ -212,12 +212,12 @@ let rng_next_gaussian r =
 let fmin (a : float) (b : float) = min a b
 let fmax (a : float) (b : float) = max a b
 
-(** Three-way float comparison used by [FCmp] in both engines —
-    [compare] at float type, so NaN ordering is identical. *)
-let fcompare (x : float) (y : float) = compare x y
-
 (** An IR comparison on ints: [ICmp] directly, and [FCmp]/[SCmp]/[BCmp]
-    on the three-way result of their [compare]. *)
+    on the three-way result of their [compare].  Both engines compare
+    floats with [Float.compare] in place: it is a primitive, so it
+    compiles inline on unboxed floats, where a helper here would box
+    both operands on every call ([-opaque] stops cross-module
+    inlining). *)
 let icmp (c : Ir.cmp) (x : int) (y : int) =
   match c with
   | Clt -> x < y | Cle -> x <= y | Cgt -> x > y | Cge -> x >= y

@@ -98,7 +98,7 @@ and eval_bin ctx frame (op : Ir.binop) a b =
   | FMul -> Vfloat (as_float va *. as_float vb)
   | FDiv -> Vfloat (as_float va /. as_float vb)
   | ICmp c -> Vbool (icmp c (as_int va) (as_int vb))
-  | FCmp c -> Vbool (icmp c (fcompare (as_float va) (as_float vb)) 0)
+  | FCmp c -> Vbool (icmp c (Float.compare (as_float va) (as_float vb)) 0)
   | SCmp c ->
       let x = as_str va and y = as_str vb in
       charge ctx (Cost.dyn_str_cmp x y);

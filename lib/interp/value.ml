@@ -21,9 +21,13 @@ and obj = {
   o_fields : value array;
   mutable o_flags : int;
   mutable o_tags : tag_inst list;
-  o_lock : int Atomic.t;          (* -1 = unlocked, else locking core id *)
+  o_lock : int Atomic.t;          (* -1 (never locked) or the last locking
+                                     core id; the domains backend's CAS
+                                     protocol resets it to -1 on unlock *)
   mutable o_lock_until : int;     (* cycle at which the lock is released
-                                     (deterministic runtime's virtual time) *)
+                                     (cycle-level runtime's virtual time;
+                                     once it has passed the lock is free,
+                                     whatever [o_lock] holds) *)
   o_gen : int Atomic.t;           (* bumped on every dispatch-relevant change *)
 }
 

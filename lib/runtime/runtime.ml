@@ -146,11 +146,12 @@ let dispatch st ~from_core (o : obj) now =
 (* ------------------------------------------------------------------ *)
 (* Locking *)
 
-(** Attempt to lock all parameters at [now] until [until].  Returns
-    [Ok ()] or [Error release] with the earliest cycle at which a
-    blocking lock is released. *)
-let try_lock st core (inv : Pset.invocation) ~now ~until =
-  let keys = Pset.lock_keys st.lock_group inv in
+(** Attempt to take every lock key in [keys] at [now] until [until].
+    Returns [Ok ()] or [Error release] with the earliest cycle at which
+    a blocking lock is released.  A lock is held until its release
+    cycle, and events run in cycle order, so a lock whose release cycle
+    has passed is free: finishing an invocation releases nothing. *)
+let try_lock st core keys ~now ~until =
   let blocked =
     List.filter_map
       (function
@@ -176,30 +177,17 @@ let try_lock st core (inv : Pset.invocation) ~now ~until =
       Ok ()
   | rs -> Error (List.fold_left max now rs)
 
-let unlock st core (inv : Pset.invocation) =
-  List.iter
-    (function
-      | Pset.Obj o -> if Atomic.get o.o_lock = core.cid then Atomic.set o.o_lock (-1)
-      | Pset.Group g -> (
-          match Hashtbl.find_opt st.group_locks g with
-          | Some (c, _) when c = core.cid -> Hashtbl.remove st.group_locks g
-          | _ -> ()))
-    (Pset.lock_keys st.lock_group inv)
-
 (* ------------------------------------------------------------------ *)
 (* Core execution *)
 
 (** After the body duration is known, stamp the real release time on
-    every lock taken for this invocation. *)
-let refresh_lock_until st core (inv : Pset.invocation) finish =
+    the lock keys [try_lock] just took for [core]. *)
+let refresh_lock_until st core keys finish =
   List.iter
     (function
-      | Pset.Obj o -> if Atomic.get o.o_lock = core.cid then o.o_lock_until <- finish
-      | Pset.Group g -> (
-          match Hashtbl.find_opt st.group_locks g with
-          | Some (c, _) when c = core.cid -> Hashtbl.replace st.group_locks g (c, finish)
-          | _ -> ()))
-    (Pset.lock_keys st.lock_group inv)
+      | Pset.Obj o -> o.o_lock_until <- finish
+      | Pset.Group g -> Hashtbl.replace st.group_locks g (core.cid, finish))
+    keys
 
 let core_ready st core now =
   core.ready_scheduled <- false;
@@ -220,7 +208,8 @@ let core_ready st core now =
             Array.iter (fun e -> if Pset.fresh e then deliver st core e !t) inv.iv_params
           else begin
             t := !t + Cost.dispatch + (Cost.lock_op * Array.length inv.iv_params);
-            match try_lock st core inv ~now:!t ~until:max_int with
+            let keys = Pset.lock_keys st.lock_group inv in
+            match try_lock st core keys ~now:!t ~until:max_int with
             | Ok () ->
                 (* Execute the body now that every parameter is locked;
                    its heap effects are invisible to other cores until
@@ -232,7 +221,7 @@ let core_ready st core now =
                     ~tag_binds:inv.iv_tags
                 in
                 let finish = !t + r.tr_cycles in
-                refresh_lock_until st core inv finish;
+                refresh_lock_until st core keys finish;
                 st.invocations <- st.invocations + 1;
                 if st.invocations > st.max_invocations then
                   raise (Runtime_stuck "invocation budget exceeded (livelock?)");
@@ -271,7 +260,6 @@ let core_ready st core now =
 let core_finish st core now =
   match (core.executing, core.pending) with
   | Some inv, Some r ->
-      unlock st core inv;
       let params = Array.map (fun (e : Pset.entry) -> e.obj) inv.iv_params in
       ignore (Interp.apply_exit inv.iv_task r.tr_exit params r.tr_frame);
       Array.iter (fun o -> Atomic.incr o.o_gen) params;

@@ -18,6 +18,19 @@
     - [jobs = 1] degrades to a plain sequential [Array.map] with no
       domains spawned, so callers can thread a pool through
       unconditionally.
+    - {b Parking}: [acquire]/[release] keep at most one idle pool in a
+      process-wide slot, so consecutive searches run on the same
+      worker domains instead of spawning and joining a set each
+      (OCaml 5.1 keeps a joined domain's heap pools mapped; DESIGN.md
+      §8 "Peak memory").  [acquire] always empties the slot: it hands
+      the parked pool to one caller if the size matches and shuts it
+      down otherwise.  [release] parks a pool in place of whatever was
+      parked, which is shut down.  A parked pool is not free: its
+      worker takes part, through its backup thread, in every minor
+      collection of the other domains, so work that is not a search
+      calls [shutdown_parked] first (the domains backend does before
+      it spawns), and an [at_exit] hook joins the pool still parked.
+      [create]/[shutdown] stay for callers that own their pool.
 
     Determinism note: the pool itself introduces no nondeterminism —
     any observable order dependence must come from [f] sharing
@@ -136,6 +149,44 @@ let map (type a b) (t : t) (f : a -> b) (arr : a array) : b array =
     | _ -> ());
     Array.map (function Some v -> v | None -> assert false) results
   end
+
+(* The parking slot.  Pools without workers are never parked: they
+   hold no domain to keep, and parking one would displace one that does. *)
+let parked : t option ref = ref None
+let parked_mutex = Mutex.create ()
+
+(* Put [v] in the slot; return what it held. *)
+let swap_parked v =
+  Mutex.protect parked_mutex (fun () ->
+      let p = !parked in
+      parked := v;
+      p)
+
+(** [shutdown_parked ()] empties the slot and shuts down the pool it
+    held, if any.  Call it before work that is not a search: a parked
+    worker would take part in every minor collection of that work. *)
+let shutdown_parked () = Option.iter shutdown (swap_parked None)
+
+let () = at_exit shutdown_parked
+
+(** [acquire ~jobs] empties the slot and returns the pool it held if
+    that pool's [jobs] match; otherwise it shuts the parked pool down
+    and creates one, so no search runs beside an idle pool.  Hand the
+    pool back with [release]. *)
+let acquire ~jobs =
+  let jobs = max 1 jobs in
+  match swap_parked None with
+  | Some p when p.jobs = jobs -> p
+  | other ->
+      Option.iter shutdown other;
+      create ~jobs
+
+(** [release t] parks [t] for the next [acquire] and shuts down the
+    pool it displaces (releasing a pool twice keeps it parked).  [t]
+    must be idle and must not be used again. *)
+let release t =
+  if Array.length t.workers > 0 then
+    match swap_parked (Some t) with Some p when p != t -> shutdown p | _ -> ()
 
 (** [map_list] is [map] over lists, preserving order. *)
 let map_list t f xs = Array.to_list (map t f (Array.of_list xs))

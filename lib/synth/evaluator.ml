@@ -29,7 +29,10 @@
       once per batch, so the merged totals are independent of which
       domain ran which simulation.
     - {b Parallelism}: [batch_bounded] fans the uncached layouts of a
-      request across a fixed {!Bamboo_support.Pool} of domains.  The
+      request across a fixed {!Bamboo_support.Pool} of domains, taken
+      with [Pool.acquire] and handed back by [shutdown] with
+      [Pool.release], so the searches of a process share one set of
+      worker domains.  The
       simulator touches no global mutable state and consumes no
       randomness, so per-layout results are independent of the domain
       that computed them: outputs are bit-identical for any [jobs].
@@ -95,15 +98,12 @@ type t = {
   prepared : Schedsim.prepared;
   max_invocations : int;
   pool : Pool.t;
-  owns_pool : bool;
   cache : cached Sharded.t;
 }
 
-let create ?(jobs = 1) ?pool ?shards ?(max_invocations = 500_000) (prog : Ir.program)
+let create ?(jobs = 1) ?shards ?(max_invocations = 500_000) (prog : Ir.program)
     (profile : Profile.t) : t =
-  let pool, owns_pool =
-    match pool with Some p -> (p, false) | None -> (Pool.create ~jobs, true)
-  in
+  let pool = Pool.acquire ~jobs in
   (* Default the stripe count to comfortably exceed the worker count
      so concurrent inserts rarely collide on a shard. *)
   let shards = match shards with Some s -> s | None -> max 16 (4 * Pool.jobs pool) in
@@ -111,7 +111,6 @@ let create ?(jobs = 1) ?pool ?shards ?(max_invocations = 500_000) (prog : Ir.pro
     prepared = Schedsim.prepare prog profile;
     max_invocations;
     pool;
-    owns_pool;
     cache = Sharded.create ~shards ~counters:n_counters ();
   }
 
@@ -129,10 +128,10 @@ let cache_size t = Sharded.length t.cache
 let cache_shards t = Sharded.shard_count t.cache
 let cache_contention t = Sharded.contention t.cache
 
-let shutdown t = if t.owns_pool then Pool.shutdown t.pool
+let shutdown t = Pool.release t.pool
 
-let with_evaluator ?jobs ?pool ?shards ?max_invocations prog profile f =
-  let t = create ?jobs ?pool ?shards ?max_invocations prog profile in
+let with_evaluator ?jobs ?shards ?max_invocations prog profile f =
+  let t = create ?jobs ?shards ?max_invocations prog profile in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
 
 (* An overrun raises before the simulator can report how many events

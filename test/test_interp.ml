@@ -188,6 +188,32 @@ let interp_matches_oracle =
       let out = run (Printf.sprintf "System.printInt(%s);" (iexpr_to_src e)) in
       int_of_string (String.trim out) = iexpr_eval e)
 
+(* ------------------------------------------------------------------ *)
+(* Allocation per simulated cycle *)
+
+(* Minor-heap words the profiling run allocates per thousand cycles, at
+   the registry arguments.  The run is on one domain, so
+   [Gc.minor_words] counts every allocation it makes.  A float compare
+   that calls a helper in another module boxes both operands
+   ([-opaque]), which these ceilings catch: measured 7.4 (KMeans) and
+   3.5 (Fractal) with [Float.compare] inline, 19.0 and 52.4 through
+   such a helper.  Each ceiling is about 1.5x the value measured when
+   it was set. *)
+let alloc_ceilings = [ ("KMeans", 11.0); ("Fractal", 5.5) ]
+
+let check_alloc (name, ceiling) =
+  let b = Bamboo_benchmarks.Registry.find name in
+  let prog = Helpers.compile b.b_source in
+  let before = Gc.minor_words () in
+  let _, r = Bamboo.Profile.collect ~args:b.b_args prog in
+  let words = Gc.minor_words () -. before in
+  let per_kcycle = words /. float_of_int r.r_total_cycles *. 1000.0 in
+  Printf.printf "%s: %.0f minor words over %d cycles, %.2f per thousand cycles\n" name words
+    r.r_total_cycles per_kcycle;
+  Helpers.check_bool
+    (Printf.sprintf "%s: %.2f <= %.1f words per thousand cycles" name per_kcycle ceiling)
+    true (per_kcycle <= ceiling)
+
 let tests =
   [
     ( "interp.unit",
@@ -208,4 +234,8 @@ let tests =
         Alcotest.test_case "cost scales" `Quick test_cost_scales_with_work;
       ] );
     Helpers.qsuite "interp.qcheck" [ interp_matches_oracle ];
+    ( "interp.alloc",
+      List.map
+        (fun ((name, _) as c) -> Alcotest.test_case name `Quick (fun () -> check_alloc c))
+        alloc_ceilings );
   ]

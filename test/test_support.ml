@@ -202,6 +202,173 @@ let test_pool_shutdown_rejects_map () =
   | _ -> Alcotest.fail "expected invalid_arg"
   | exception Invalid_argument _ -> ()
 
+(* Parking: [acquire]/[release] keep one idle pool between searches. *)
+
+(* The domain ids that run one batch of [Pool.jobs p] elements, sorted.
+   Every element waits until all have started, so each domain (the
+   caller included) runs exactly one. *)
+let pool_domains p =
+  let jobs = Pool.jobs p in
+  let started = Atomic.make 0 in
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  Pool.map p
+    (fun () ->
+      Atomic.incr started;
+      while Atomic.get started < jobs do
+        if Unix.gettimeofday () > deadline then failwith "batch never reached every domain";
+        Domain.cpu_relax ()
+      done;
+      (Domain.self () :> int))
+    (Array.make jobs ())
+  |> Array.to_list |> List.sort compare
+
+(* Park a pool of [jobs], so the next acquire of that size has one. *)
+let park jobs = Pool.release (Pool.acquire ~jobs)
+
+let test_pool_reuse () =
+  let p = Pool.acquire ~jobs:2 in
+  let first = pool_domains p in
+  Helpers.check_bool "caller and one worker" true
+    (List.length first = 2 && List.mem (Domain.self () :> int) first);
+  Pool.release p;
+  let p' = Pool.acquire ~jobs:2 in
+  Helpers.check_bool "the parked pool comes back" true (p' == p);
+  Alcotest.(check (list int)) "same worker domain" first (pool_domains p');
+  Pool.release p'
+
+let test_pool_release_displaces () =
+  let two = Pool.acquire ~jobs:2 and three = Pool.acquire ~jobs:3 in
+  Pool.release two;
+  Pool.release three;
+  (match Pool.map two succ [| 1 |] with
+  | _ -> Alcotest.fail "the displaced pool should be shut down"
+  | exception Invalid_argument _ -> ());
+  let three' = Pool.acquire ~jobs:3 in
+  Helpers.check_bool "the last released pool is parked" true (three' == three);
+  let two' = Pool.acquire ~jobs:2 in
+  Helpers.check_bool "nothing else was parked" true (two' != two);
+  Pool.release two';
+  Pool.release three'
+
+(* A pool map raises [Invalid_argument] once the pool is shut down. *)
+let is_shut_down p =
+  match Pool.map p succ [| 1 |] with _ -> false | exception Invalid_argument _ -> true
+
+let test_pool_acquire_other_size () =
+  park 2;
+  let two = Pool.acquire ~jobs:2 in
+  Pool.release two;
+  let three = Pool.acquire ~jobs:3 in
+  Helpers.check_bool "a parked pool of another size is shut down" true (is_shut_down two);
+  Pool.release three;
+  let one = Pool.acquire ~jobs:1 in
+  Helpers.check_bool "a one-job acquire shuts the parked pool down" true (is_shut_down three);
+  Pool.release one;
+  let two' = Pool.acquire ~jobs:2 in
+  Helpers.check_bool "nothing was parked" true (two' != two);
+  Pool.release two'
+
+let test_pool_release_twice () =
+  let p = Pool.acquire ~jobs:2 in
+  Pool.release p;
+  Pool.release p;
+  let p' = Pool.acquire ~jobs:2 in
+  Helpers.check_bool "the pool stays parked" true (p' == p);
+  Alcotest.(check (array int)) "still maps" [| 2 |] (Pool.map p' succ [| 1 |]);
+  Pool.release p'
+
+let test_pool_shutdown_parked () =
+  park 2;
+  let p = Pool.acquire ~jobs:2 in
+  Pool.release p;
+  Pool.shutdown_parked ();
+  Helpers.check_bool "the parked pool is shut down" true (is_shut_down p);
+  Pool.shutdown_parked ();
+  let p' = Pool.acquire ~jobs:2 in
+  Helpers.check_bool "the slot is empty" true (p' != p);
+  Pool.release p'
+
+(* The domains backend never runs beside a parked pool. *)
+let test_exec_shuts_parked_pool () =
+  let b = Bamboo_benchmarks.Registry.find "Fractal" in
+  let prog = Bamboo.compile b.b_source in
+  let an = Bamboo.analyse prog in
+  let layout = Bamboo.Exec.spread_layout prog Bamboo.Machine.m16 in
+  let p = Pool.acquire ~jobs:2 in
+  Pool.release p;
+  let r = Bamboo.execute_parallel ~args:(Helpers.small_args "Fractal") ~domains:2 prog an layout in
+  Helpers.check_bool "executed work" true (r.x_invocations > 0);
+  Helpers.check_bool "the parked pool is shut down" true (is_shut_down p)
+
+let test_pool_acquire_exclusive () =
+  park 2;
+  let a = Pool.acquire ~jobs:2 in
+  let b = Pool.acquire ~jobs:2 in
+  Helpers.check_bool "two acquires, two pools" true (a != b);
+  let me = (Domain.self () :> int) in
+  let workers p = List.filter (( <> ) me) (pool_domains p) in
+  Helpers.check_bool "no shared worker" true (workers a <> workers b);
+  Pool.release a;
+  Pool.release b
+
+let test_pool_reuse_after_failure () =
+  park 2;
+  let p = Pool.acquire ~jobs:2 in
+  (match Pool.map p (fun x -> if x = 3 then failwith "boom" else x) [| 1; 2; 3; 4 |] with
+  | _ -> Alcotest.fail "expected Failure"
+  | exception Failure _ -> ());
+  Pool.release p;
+  let p' = Pool.acquire ~jobs:2 in
+  Helpers.check_bool "the failed pool is parked" true (p' == p);
+  Alcotest.(check (array int)) "still maps" [| 2; 3 |] (Pool.map p' succ [| 1; 2 |]);
+  Pool.release p'
+
+let test_pool_parked_nested_rejected () =
+  let nested p =
+    match Pool.map p (fun x -> Array.length (Pool.map p (fun y -> y) [| x |])) [| 1; 2 |] with
+    | _ -> Alcotest.fail "expected Pool.Busy"
+    | exception Pool.Busy _ -> ()
+  in
+  let p = Pool.acquire ~jobs:2 in
+  nested p;
+  Pool.release p;
+  let p' = Pool.acquire ~jobs:2 in
+  nested p';
+  Alcotest.(check (array int)) "maps after Busy" [| 1 |] (Pool.map p' Fun.id [| 1 |]);
+  Pool.release p'
+
+(* The id the next spawned domain gets: ids only grow, so the
+   difference between two probes counts the domains spawned between
+   them (plus the first probe itself). *)
+let next_domain_id () = (Domain.join (Domain.spawn Domain.self) :> int)
+
+let test_searches_share_pool () =
+  let b = Bamboo_benchmarks.Registry.find "Fractal" in
+  let prog = Bamboo.compile b.b_source in
+  let an = Bamboo.analyse prog in
+  let prof = Bamboo.profile ~args:(Helpers.small_args "Fractal") prog in
+  let search jobs = Bamboo.synthesize ~jobs ~starts:4 ~seed:5 prog an prof Bamboo.Machine.m16 in
+  let sequential = search 1 in
+  park 2;
+  let parked = Pool.acquire ~jobs:2 in
+  Pool.release parked;
+  let before = next_domain_id () in
+  let o1 = search 2 in
+  let o2 = search 2 in
+  Helpers.check_int "no domain spawned by either search" (before + 1) (next_domain_id ());
+  let after = Pool.acquire ~jobs:2 in
+  Helpers.check_bool "both searches ran on the parked pool" true (after == parked);
+  Pool.release after;
+  let summary (o : Bamboo.Dsa.outcome) =
+    ( o.best.assignment,
+      [ o.best_cycles; o.iterations; o.restarts; o.evaluated; o.cache_hits; o.pruned;
+        o.sim_events ] )
+  in
+  List.iter
+    (fun o ->
+      Helpers.check_bool "outcome identical to jobs 1" true (summary o = summary sequential))
+    [ o1; o2 ]
+
 let pool_matches_array_map =
   QCheck.Test.make ~name:"pool map agrees with Array.map for any jobs" ~count:50
     QCheck.(pair (int_range 1 6) (list small_int))
@@ -799,6 +966,16 @@ let tests =
         Alcotest.test_case "pool exceptions" `Quick test_pool_exception_propagation;
         Alcotest.test_case "pool nested rejected" `Quick test_pool_nested_rejected;
         Alcotest.test_case "pool shutdown" `Quick test_pool_shutdown_rejects_map;
+        Alcotest.test_case "pool reuse" `Quick test_pool_reuse;
+        Alcotest.test_case "pool release displaces" `Quick test_pool_release_displaces;
+        Alcotest.test_case "pool acquire exclusive" `Quick test_pool_acquire_exclusive;
+        Alcotest.test_case "pool reuse after failure" `Quick test_pool_reuse_after_failure;
+        Alcotest.test_case "pool parked nested rejected" `Quick test_pool_parked_nested_rejected;
+        Alcotest.test_case "searches share pool" `Quick test_searches_share_pool;
+        Alcotest.test_case "pool acquire other size" `Quick test_pool_acquire_other_size;
+        Alcotest.test_case "pool release twice" `Quick test_pool_release_twice;
+        Alcotest.test_case "pool shutdown parked" `Quick test_pool_shutdown_parked;
+        Alcotest.test_case "exec shuts parked pool" `Quick test_exec_shuts_parked_pool;
         Alcotest.test_case "union find" `Quick test_union_find;
         Alcotest.test_case "stats basics" `Quick test_stats_basics;
         Alcotest.test_case "stats histogram" `Quick test_stats_histogram;
