@@ -251,7 +251,7 @@ let synth_scale_config =
     backend against the sequential runtime. *)
 let synth_scale ?(machine = Machine.m16) ?(trials = 20) ?(starts = 12) ?(tempering = true)
     ?(sample = 150) ?(seed = 9) ?(jobs = 1) ?(config = synth_scale_config) ?args
-    ?(check_digest = true) (b : Bench_def.t) : synth_scale_result =
+    (b : Bench_def.t) : synth_scale_result =
   let args = match args with Some a -> a | None -> b.b_args in
   let prog = Bamboo.compile b.b_source in
   let an = Bamboo.analyse prog in
@@ -310,17 +310,14 @@ let synth_scale ?(machine = Machine.m16) ?(trials = 20) ?(starts = 12) ?(temperi
       (List.hd outcomes) (List.tl outcomes)
   in
   let digest_ok =
-    if not check_digest then true
-    else begin
-      let seq = Bamboo.execute ~args prog an best_outcome.best in
-      let par =
-        Bamboo.execute_parallel ~args ~domains:(min 4 machine.Machine.cores) ~seed:1 prog an
-          best_outcome.best
-      in
-      b.b_check seq.r_output
-      && par.Bamboo.Exec.x_digest
-         = Bamboo.Canon.digest prog ~output:seq.r_output ~objects:seq.r_objects
-    end
+    let seq = Bamboo.execute ~args prog an best_outcome.best in
+    let par =
+      Bamboo.execute_parallel ~args ~domains:(min 4 machine.Machine.cores) ~seed:1 prog an
+        best_outcome.best
+    in
+    b.b_check seq.r_output
+    && par.Bamboo.Exec.x_digest
+       = Bamboo.Canon.digest prog ~output:seq.r_output ~objects:seq.r_objects
   in
   let evaluated = Bamboo.Evaluator.evaluated ev - ev0 in
   let hits = Bamboo.Evaluator.cache_hits ev - h0 in

@@ -1221,11 +1221,13 @@ let closurify_body (prog : Ir.program) (cc : closure_code) (b : body) : blk =
                 k f
           | MMin ->
               fun f ->
-                f.cff.(d) <- fmin f.cff.(a) f.cff.(b');
+                let x = f.cff.(a) and y = f.cff.(b') in
+                f.cff.(d) <- (if x <= y then x else y);
                 k f
           | MMax ->
               fun f ->
-                f.cff.(d) <- fmax f.cff.(a) f.cff.(b');
+                let x = f.cff.(a) and y = f.cff.(b') in
+                f.cff.(d) <- (if x >= y then x else y);
                 k f)
       | Kiabs (d, a) ->
           fun f ->

@@ -209,9 +209,6 @@ let rng_next_gaussian r =
    single definition of its operation's observable behavior (result,
    error message, rounding), so the engines cannot drift. *)
 
-let fmin (a : float) (b : float) = min a b
-let fmax (a : float) (b : float) = max a b
-
 (** An IR comparison on ints: [ICmp] directly, and [FCmp]/[SCmp]/[BCmp]
     on the three-way result of their [compare].  Both engines compare
     floats with [Float.compare] in place: it is a primitive, so it

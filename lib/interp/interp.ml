@@ -141,8 +141,8 @@ and eval_builtin ctx frame (b : Ir.builtin) args =
   | MathCeil, _ -> f1 ceil
   | MathAbs, _ -> f1 abs_float
   | MathPow, _ -> f2 ( ** )
-  | MathMin, _ -> f2 fmin
-  | MathMax, _ -> f2 fmax
+  | MathMin, _ -> f2 (fun a b -> if a <= b then a else b)
+  | MathMax, _ -> f2 (fun a b -> if a >= b then a else b)
   | MathIAbs, [ Vint n ] -> Vint (abs n)
   | MathIMin, [ Vint a; Vint b ] -> Vint (min a b)
   | MathIMax, [ Vint a; Vint b ] -> Vint (max a b)

@@ -80,8 +80,6 @@ let find t key = with_shard t key (fun s -> Hashtbl.find_opt s.table key)
 
 let set t key v = with_shard t key (fun s -> Hashtbl.replace s.table key v)
 
-let mem t key = with_shard t key (fun s -> Hashtbl.mem s.table key)
-
 (** [compute t key f] — return the cached value for [key], or run [f]
     and cache its result.  The shard lock is held across [f], so
     concurrent callers of the same key compute exactly once (callers
@@ -114,27 +112,6 @@ let counter t i =
       acc + v)
     0 t.shards
 
-(** Total entries across all shards. *)
-let length t =
-  Array.fold_left
-    (fun acc s ->
-      lock_shard s;
-      let v = Hashtbl.length s.table in
-      Mutex.unlock s.mutex;
-      acc + v)
-    0 t.shards
-
 (** Lock acquisitions that found their shard busy, summed over shards
     — the observable cost of striping failures. *)
 let contention t = Array.fold_left (fun acc s -> acc + Atomic.get s.contended) 0 t.shards
-
-(** [fold t f init] — fold over every binding.  Shards are folded one
-    at a time under their locks; do not mutate [t] from [f]. *)
-let fold t f init =
-  Array.fold_left
-    (fun acc s ->
-      lock_shard s;
-      let acc = Hashtbl.fold f s.table acc in
-      Mutex.unlock s.mutex;
-      acc)
-    init t.shards

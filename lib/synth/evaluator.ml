@@ -101,12 +101,12 @@ type t = {
   cache : cached Sharded.t;
 }
 
-let create ?(jobs = 1) ?shards ?(max_invocations = 500_000) (prog : Ir.program)
+let create ?(jobs = 1) ?(max_invocations = 500_000) (prog : Ir.program)
     (profile : Profile.t) : t =
   let pool = Pool.acquire ~jobs in
-  (* Default the stripe count to comfortably exceed the worker count
-     so concurrent inserts rarely collide on a shard. *)
-  let shards = match shards with Some s -> s | None -> max 16 (4 * Pool.jobs pool) in
+  (* The stripe count comfortably exceeds the worker count, so
+     concurrent inserts rarely collide on a shard. *)
+  let shards = max 16 (4 * Pool.jobs pool) in
   {
     prepared = Schedsim.prepare prog profile;
     max_invocations;
@@ -124,14 +124,13 @@ let evaluated t = Sharded.counter t.cache c_evaluated
 let cache_hits t = Sharded.counter t.cache c_hits
 let pruned t = Sharded.counter t.cache c_pruned
 let sim_events t = Sharded.counter t.cache c_events
-let cache_size t = Sharded.length t.cache
 let cache_shards t = Sharded.shard_count t.cache
 let cache_contention t = Sharded.contention t.cache
 
 let shutdown t = Pool.release t.pool
 
-let with_evaluator ?jobs ?shards ?max_invocations prog profile f =
-  let t = create ?jobs ?shards ?max_invocations prog profile in
+let with_evaluator ?jobs ?max_invocations prog profile f =
+  let t = create ?jobs ?max_invocations prog profile in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
 
 (* An overrun raises before the simulator can report how many events

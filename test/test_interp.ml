@@ -55,7 +55,19 @@ let test_math () =
   check_prints "sqrt" "3.000000\n" "System.printDouble(Math.sqrt(9.0));";
   check_prints "pow" "8.000000\n" "System.printDouble(Math.pow(2.0, 3.0));";
   check_prints "imax" "7\n" "System.printInt(Math.imax(3, 7));";
-  check_prints "floor" "2.000000\n" "System.printDouble(Math.floor(2.9));"
+  check_prints "floor" "2.000000\n" "System.printDouble(Math.floor(2.9));";
+  check_prints "min" "1.500000\n" "System.printDouble(Math.min(2.0, 1.5));";
+  check_prints "max" "2.000000\n" "System.printDouble(Math.max(2.0, 1.5));";
+  (* Stdlib's order: a NaN first operand yields the second, a NaN
+     second operand yields NaN ([Math.abs] drops the sign the host's
+     printf would show). *)
+  let nan_case call =
+    Printf.sprintf "double n = 0.0 / 0.0; System.printDouble(Math.abs(%s));" call
+  in
+  check_prints "min nan first" "1.000000\n" (nan_case "Math.min(n, 1.0)");
+  check_prints "min nan second" "nan\n" (nan_case "Math.min(1.0, n)");
+  check_prints "max nan first" "1.000000\n" (nan_case "Math.max(n, 1.0)");
+  check_prints "max nan second" "nan\n" (nan_case "Math.max(1.0, n)")
 
 let test_arrays () =
   check_prints "int array" "6\n"
@@ -214,6 +226,30 @@ let check_alloc (name, ceiling) =
     (Printf.sprintf "%s: %.2f <= %.1f words per thousand cycles" name per_kcycle ceiling)
     true (per_kcycle <= ceiling)
 
+(* The closure engine keeps doubles unboxed through [Math.min] and
+   [Math.max]: a loop over both allocates nothing per iteration.  A
+   call to a helper in another module boxes both operands of each,
+   8 words per iteration. *)
+let test_alloc_min_max () =
+  let iterations = 200_000 in
+  let prog =
+    Helpers.compile
+      (wrap
+         (Printf.sprintf
+            "double acc = 0.0; double x = 0.5; \
+             for (int i = 0; i < %d; i = i + 1) { \
+             acc = acc + Math.min(x, 3.0) + Math.max(x, 0.25); } \
+             System.printDouble(acc);"
+            iterations))
+  in
+  let before = Gc.minor_words () in
+  ignore (Bamboo.Runtime.run_single prog);
+  let per_iteration = (Gc.minor_words () -. before) /. float_of_int iterations in
+  Printf.printf "Math.min/max loop: %.2f minor words per iteration\n" per_iteration;
+  Helpers.check_bool
+    (Printf.sprintf "%.2f <= 0.5 words per iteration" per_iteration)
+    true (per_iteration <= 0.5)
+
 let tests =
   [
     ( "interp.unit",
@@ -237,5 +273,6 @@ let tests =
     ( "interp.alloc",
       List.map
         (fun ((name, _) as c) -> Alcotest.test_case name `Quick (fun () -> check_alloc c))
-        alloc_ceilings );
+        alloc_ceilings
+      @ [ Alcotest.test_case "Math.min/max loop" `Quick test_alloc_min_max ] );
   ]

@@ -283,7 +283,7 @@ and gen_fexpr fz vars d =
         gen_iexpr fz vars 0;
         fz_add fz ")"
   else
-    match fz_int fz 5 with
+    match fz_int fz 6 with
     | 0 | 1 ->
         fz_add fz "(";
         gen_fexpr fz vars (d - 1);
@@ -298,6 +298,12 @@ and gen_fexpr fz vars d =
         fz_add fz "(";
         gen_fexpr fz vars (d - 1);
         fz_add fz " / 3.5)"
+    | 4 ->
+        fz_add fz (if fz_int fz 2 = 0 then "Math.min(" else "Math.max(");
+        gen_fexpr fz vars (d - 1);
+        fz_add fz ", ";
+        gen_fexpr fz vars (d - 1);
+        fz_add fz ")"
     | _ -> gen_fexpr fz vars 0
 
 let gen_bexpr fz vars d =
